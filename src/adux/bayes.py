@@ -6,26 +6,29 @@ The headline output is the 95% highest density interval of that posterior;
 a Wald interval on the same counts is provided as the frequentist
 comparator.
 
-The HDI of a unimodal interior density is found by minimizing the interval
-width w(p) = Q(p + mass) - Q(p) over the lower-tail mass p, which is a
-unimodal 1-D problem. Boundary-mode shapes (alpha <= 1 or beta <= 1) get
-one-sided intervals anchored at the boundary where the density peaks, and
-flat or U-shaped densities fall back to the central equal-tailed interval
-flagged as non-unique.
+The HDI of a unimodal interior density is solved directly from its two
+defining conditions, equal density at both endpoints and the stated mass
+between them (Kruschke 2015, *Doing Bayesian Data Analysis*): Newton on the
+shared log-density level, with each endpoint found by Newton on the log
+density. Boundary-mode shapes (alpha <= 1 or beta <= 1) get one-sided
+intervals anchored at the boundary where the density peaks, and flat or
+U-shaped densities fall back to the central equal-tailed interval flagged
+as non-unique.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from collections.abc import Iterable
 
 from .errors import InvalidMass, ZeroTrials
 from .special import (
     beta_pdf,
-    bisect_increasing,
     incomplete_beta_inverse,
+    log_beta,
+    newton_root,
     normal_quantile,
     regularized_incomplete_beta,
 )
@@ -33,9 +36,11 @@ from .special import (
 # z pinned at the conventional 6-digit value for the default level.
 _Z_95 = 1.959964
 
-_HDI_SEARCH_TOL = 1e-8
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+# Relative step at which the HDI level search stops. A level off by
+# _LEVEL_RTOL * |lam| moves the held mass by at most _LEVEL_RTOL, since
+# |R'(lam)| <= 1/|lam| for a log-concave density; a tighter stop would only
+# chase the error of I_x itself, ~1e-9 at N = 10^7.
+_LEVEL_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -136,7 +141,7 @@ def beta_cdf(params: BetaParams, x: float) -> float:
 
 
 def beta_quantile(params: BetaParams, p: float) -> float:
-    """Inverse CDF by bracketed bisection."""
+    """Inverse CDF, by bracketed Newton on the incomplete beta."""
     return incomplete_beta_inverse(params.alpha, params.beta, p)
 
 
@@ -157,58 +162,80 @@ def equal_tailed_interval(params: BetaParams, mass: float = 0.95) -> CredibleInt
     )
 
 
-def _golden_section_min(f, lo: float, hi: float, tol: float) -> float:
-    """Argmin of a unimodal function on [lo, hi]."""
-    h = hi - lo
-    c = lo + _INV_PHI2 * h
-    d = lo + _INV_PHI * h
-    fc = f(c)
-    fd = f(d)
-    while h > tol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            h = hi - lo
-            c = lo + _INV_PHI2 * h
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            h = hi - lo
-            d = lo + _INV_PHI * h
-            fd = f(d)
-    return 0.5 * (lo + hi)
+def _log_ratio(x: float, m: float) -> float:
+    """log(x / m), through log1p near x = m where the terms are large."""
+    d = (x - m) / m
+    return math.log1p(d) if abs(d) < 0.5 else math.log(x / m)
+
+
+def _score(a: float, b: float, x: float) -> float:
+    """d/dx log f(x) for Beta(a, b)."""
+    return (a - 1.0) / x - (b - 1.0) / (1.0 - x)
+
+
+def _below_mode(a: float, b: float, m: float, m_mirror: float, lam: float, start: float) -> float:
+    """x in (0, m) where log f(x) - log f(m) = lam, for Beta(a, b) with mode
+    m = 1 - m_mirror; Newton on the log density, no I_x call."""
+
+    def residual(x: float) -> tuple[float, float]:
+        level = (a - 1.0) * _log_ratio(x, m) + (b - 1.0) * _log_ratio(1.0 - x, m_mirror)
+        return level - lam, _score(a, b, x)
+
+    return newton_root(residual, 0.0, m, start)
+
+
+def _hdi_interior(a: float, b: float, mass: float) -> tuple[float, float]:
+    """Equal-density endpoints l < mode < u holding ``mass``; a, b > 1.
+
+    The unknown is the level lam = log f(l) - log f(mode) = log f(u) -
+    log f(mode). For a given lam, l is the point below the mode at that
+    level and 1 - u the same point of the mirror image Beta(b, a), so each
+    endpoint keeps its relative precision next to its own boundary. The
+    outer Newton solves R(lam) = mass - (F(u) - F(l)) = 0, where
+    R'(lam) = f(l) (1/s(l) - 1/s(u)) and s = (log f)'. The level stays well
+    scaled even when an endpoint is pressed against 0 or 1 (a or b near 1).
+    """
+    m = (a - 1.0) / (a + b - 2.0)
+    m_mirror = (b - 1.0) / (a + b - 2.0)
+    log_peak = (a - 1.0) * math.log(m) + (b - 1.0) * math.log(m_mirror) - log_beta(a, b)
+    # Normal approximation for the start: endpoints mode -/+ z sd, level -z^2/2.
+    z = normal_quantile(0.5 + 0.5 * mass)
+    sd = math.sqrt(a * b / (a + b + 1.0)) / (a + b)
+    ends = [max(m - z * sd, 0.5 * m), max(m_mirror - z * sd, 0.5 * m_mirror)]
+
+    def endpoints(lam: float) -> tuple[float, float]:
+        ends[0] = _below_mode(a, b, m, m_mirror, lam, ends[0])
+        ends[1] = _below_mode(b, a, m_mirror, m, lam, ends[1])
+        return ends[0], 1.0 - ends[1]
+
+    def residual(lam: float) -> tuple[float, float]:
+        lower, upper = endpoints(lam)
+        held = regularized_incomplete_beta(a, b, upper) - regularized_incomplete_beta(a, b, lower)
+        spread = 1.0 / _score(a, b, lower) + 1.0 / _score(b, a, ends[1])
+        return mass - held, math.exp(log_peak + lam) * spread
+
+    # The density is log-concave, so the mass outside the level set
+    # {f >= t f(mode)} is at most t: R <= 0 at t = 1 - mass.
+    lam = newton_root(residual, math.log1p(-mass), 0.0, -0.5 * z * z, rtol=_LEVEL_RTOL)
+    return endpoints(lam)
 
 
 def hdi(params: BetaParams, mass: float = 0.95) -> CredibleInterval:
     """Highest density interval of a Beta distribution.
 
     For an interior-mode density (alpha > 1 and beta > 1) this is the
-    narrowest interval holding ``mass``, located by golden-section search
-    over the lower-tail mass; its endpoints have equal density. Densities
-    peaking at a boundary yield the one-sided interval anchored there, and
-    flat or U-shaped densities yield the central equal-tailed interval
-    flagged ``unique=False``.
+    narrowest interval holding ``mass``: its endpoints have equal density,
+    and both conditions are solved directly by Newton (``_hdi_interior``).
+    Densities peaking at a boundary yield the one-sided interval anchored
+    there, and flat or U-shaped densities yield the central equal-tailed
+    interval flagged ``unique=False``.
     """
     _check_mass(mass)
     a, b = params.alpha, params.beta
 
     if a > 1.0 and b > 1.0:
-        # Inside the search a slightly looser quantile tolerance is plenty
-        # (endpoint contract is 1e-3, mass contract 1e-6) and much cheaper.
-        def quantile(p: float) -> float:
-            return bisect_increasing(
-                lambda x: regularized_incomplete_beta(a, b, x), p, 0.0, 1.0, tol=1e-10
-            )
-
-        def width(p: float) -> float:
-            return quantile(p + mass) - quantile(p)
-
-        p_star = _golden_section_min(width, 0.0, 1.0 - mass, _HDI_SEARCH_TOL)
-        return CredibleInterval(
-            lower=beta_quantile(params, p_star),
-            upper=beta_quantile(params, p_star + mass),
-            mass=mass,
-            kind=IntervalKind.HDI,
-        )
+        lower, upper = _hdi_interior(a, b, mass)
+        return CredibleInterval(lower=lower, upper=upper, mass=mass, kind=IntervalKind.HDI)
     if a <= 1.0 < b:
         return CredibleInterval(
             lower=0.0,
@@ -225,14 +252,7 @@ def hdi(params: BetaParams, mass: float = 0.95) -> CredibleInterval:
         )
     # Flat or U-shaped: every (or no) interval qualifies; pick the central
     # one so callers still get a number, and flag the convention.
-    half_tail = (1.0 - mass) / 2.0
-    return CredibleInterval(
-        lower=beta_quantile(params, half_tail),
-        upper=beta_quantile(params, half_tail + mass),
-        mass=mass,
-        kind=IntervalKind.EQUAL_TAILED,
-        unique=False,
-    )
+    return replace(equal_tailed_interval(params, mass), unique=False)
 
 
 @dataclass(frozen=True)

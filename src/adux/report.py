@@ -183,7 +183,11 @@ def load_sessions(
     except OSError as exc:
         raise IoFailure(f"cannot read {source}: {exc}") from exc
 
-    format_errors.extend(_resolve_periods(raw_rows, window))
+    period_errors = _resolve_periods(raw_rows, window)
+    if period_errors:  # rejected once here, so not again by validate_dataset
+        dropped = {r.row for r in period_errors}
+        raw_rows = [(line, row) for line, row in raw_rows if line not in dropped]
+        format_errors.extend(period_errors)
 
     result = validate_dataset(
         [row for _, row in raw_rows],

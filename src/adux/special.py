@@ -10,8 +10,12 @@ Implemented in-repo so the numeric contracts stay fully testable:
 * Student-t and standard-normal CDFs/quantiles built on top, used for
   regression inference and frequentist comparison intervals.
 
-Quantiles are computed by bracketed bisection on the corresponding CDF:
-slow and boring by design, but monotone-safe and accurate to ~1e-12.
+Every quantile is a root of CDF(x) - p found by :func:`newton_root`: Newton
+steps with the density as slope, from an asymptotic starting point, kept
+inside a bracket that each evaluation narrows by the sign of the residual.
+Steps that would leave the bracket, or stop converging, become bisection.
+The t and normal quantiles are solved in the lower tail, where the CDF keeps
+full relative accuracy.
 """
 
 from __future__ import annotations
@@ -36,7 +40,9 @@ _CF_MAX_ITER = 500
 _CF_EPS = 1e-16
 _CF_TINY = 1e-300
 
-_BISECT_TOL = 1e-13
+_NEWTON_RTOL = 1e-12
+_NEWTON_MAX_ITER = 100
+_SMALLEST = math.ulp(0.0)
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
@@ -140,28 +146,105 @@ def beta_pdf(a: float, b: float, x: float) -> float:
     return math.exp(log_beta_pdf(a, b, x))
 
 
-def bisect_increasing(f, target: float, lo: float, hi: float, tol: float = _BISECT_TOL) -> float:
-    """Root of f(x) = target for non-decreasing f, by plain bisection."""
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if f(mid) < target:
-            lo = mid
+def newton_root(f, lo: float, hi: float, x: float, rtol: float = _NEWTON_RTOL) -> float:
+    """Root of an increasing function inside the bracket (lo, hi), from x.
+
+    ``f(x)`` returns the residual and its derivative. The residual must be
+    <= 0 at ``lo`` and >= 0 at ``hi``; neither end is evaluated, and the
+    result always lies strictly inside. Each evaluation moves one end of
+    the bracket to x by the sign of the residual. A Newton step that would
+    leave the bracket, or that is more than half the step two before it
+    (the safeguard of Numerical Recipes' ``rtsafe``), is replaced by
+    bisection, geometric while the bracket spans more than a factor of 4
+    above 0. The search stops once a Newton step is at most ``rtol * |x|``
+    (convergence is quadratic by then, so the error left is far smaller
+    than the step) or the bracket is at most twice that wide.
+    """
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
+    prev = prev2 = hi - lo
+    for _ in range(_NEWTON_MAX_ITER):
+        value, slope = f(x)
+        if value == 0.0:
+            return x
+        if value < 0.0:
+            lo = x
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi = x
+        step = value / slope if 0.0 < slope < math.inf else math.inf
+        nxt = x - step
+        if abs(step) <= rtol * abs(x):
+            return nxt if lo < nxt < hi else x
+        if not lo < nxt < hi or abs(step) > 0.5 * abs(prev2):
+            nxt = math.sqrt(lo) * math.sqrt(hi) if 0.0 < 4.0 * lo < hi else 0.5 * (lo + hi)
+            if not lo < nxt < hi:  # the bracket is down to adjacent floats
+                return x
+            if hi - lo <= 2.0 * rtol * abs(nxt):
+                return nxt
+            step = x - nxt
+        prev2, prev = prev, step
+        x = nxt
+    return x
+
+
+def _normal_quantile_start(p: float) -> float:
+    """Abramowitz & Stegun 26.2.23 normal quantile, |error| < 4.5e-4."""
+    t = math.sqrt(-2.0 * math.log(min(p, 1.0 - p)))
+    z = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
+        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))
+    )
+    return -z if p < 0.5 else z
+
+
+def _beta_inverse_start(a: float, b: float, p: float) -> float:
+    """Rough x with I_x(a, b) = p: Abramowitz & Stegun 26.5.22 when a, b >= 1,
+    otherwise the power law of whichever tail holds p."""
+    # I_x ~ x^a / (a B) near 0 and 1 - I_x ~ (1 - x)^b / (b B) near 1.
+    log_b = log_beta(a, b)
+    lower_root = math.exp((math.log(a * p) + log_b) / a)
+    upper_root = -math.expm1((math.log(b * (1.0 - p)) + log_b) / b)
+    if a >= 1.0 and b >= 1.0:
+        y = -_normal_quantile_start(p)
+        lam = (y * y - 3.0) / 6.0
+        ra, rb = 1.0 / (2.0 * a - 1.0), 1.0 / (2.0 * b - 1.0)
+        h = 2.0 / (ra + rb)
+        w = y * math.sqrt(h + lam) / h - (rb - ra) * (lam + 5.0 / 6.0 - 2.0 / (3.0 * h))
+        # Far in a tail the estimate overshoots, so its exponent is capped to
+        # stay finite. With a, b >= 1 the power laws are bounds, I_x <= x^a /
+        # (a B) and 1 - I_x <= (1 - x)^b / (b B), so the root lies between the
+        # two tail roots, and so does the start.
+        x = a / (a + b * math.exp(min(2.0 * w, 700.0)))
+        return min(max(x, lower_root), upper_root)
+    # The tail whose law holds more mass at the mean is taken to hold p.
+    lower = math.exp(a * math.log(a / (a + b))) / a
+    upper = math.exp(b * math.log(b / (a + b))) / b
+    return lower_root if p < lower / (lower + upper) else upper_root
 
 
 def incomplete_beta_inverse(a: float, b: float, p: float) -> float:
-    """x with I_x(a, b) = p, by bracketed bisection on [0, 1]."""
+    """x with I_x(a, b) = p, by Newton on [0, 1] with the beta density as slope.
+
+    A root nearer 1 is searched for as y = 1 - x, so that the search stops
+    on a step that is small relative to the distance from 1. A start that
+    underflows to 0 is raised to the smallest float, from which geometric
+    bisection reaches any root in a few steps.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if p == 0.0:
         return 0.0
     if p == 1.0:
         return 1.0
-    return bisect_increasing(lambda x: regularized_incomplete_beta(a, b, x), p, 0.0, 1.0)
+    x = _beta_inverse_start(a, b, p)
+    if x <= 0.5:
+        return newton_root(
+            lambda t: (regularized_incomplete_beta(a, b, t) - p, beta_pdf(a, b, t)),
+            0.0, 1.0, max(x, _SMALLEST),
+        )
+    return 1.0 - newton_root(
+        lambda y: (p - regularized_incomplete_beta(a, b, 1.0 - y), beta_pdf(a, b, 1.0 - y)),
+        0.0, 1.0, max(1.0 - x, _SMALLEST),
+    )
 
 
 def student_t_cdf(x: float, df: float) -> float:
@@ -179,35 +262,45 @@ def student_t_cdf(x: float, df: float) -> float:
 
 
 def student_t_quantile(p: float, df: float) -> float:
-    """Quantile of Student's t, by bracket expansion plus bisection."""
+    """Quantile of Student's t, by Newton on the lower-tail CDF.
+
+    The start is the normal quantile's estimate; the far end of the bracket
+    doubles from twice that until the CDF falls below p.
+    """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
+    if p > 0.5:
+        return -student_t_quantile(1.0 - p, df)  # 1 - p is exact here
     if p == 0.5:
         return 0.0
-    if p < 0.5:
-        return -student_t_quantile(1.0 - p, df)
-    hi = 1.0
-    while student_t_cdf(hi, df) < p:
-        hi *= 2.0
-        if hi > 1e12:  # pragma: no cover - p astronomically close to 1
-            break
-    return bisect_increasing(lambda x: student_t_cdf(x, df), p, 0.0, hi, tol=1e-12)
+    start = _normal_quantile_start(p)
+    lo = 2.0 * start
+    while student_t_cdf(lo, df) > p:  # ends by lo = -inf at the latest
+        lo *= 2.0
+    log_norm = log_beta(0.5 * df, 0.5) + 0.5 * math.log(df)
+
+    def residual(x: float) -> tuple[float, float]:
+        density = math.exp(-0.5 * (df + 1.0) * math.log1p(x * x / df) - log_norm)
+        return student_t_cdf(x, df) - p, density
+
+    return newton_root(residual, lo, 0.0, start)
 
 
 def normal_cdf(x: float) -> float:
-    """Standard normal CDF via the error function."""
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+    """Standard normal CDF via the complementary error function, which keeps
+    full relative accuracy in the lower tail."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def normal_quantile(p: float) -> float:
-    """Standard normal quantile, by bracket expansion plus bisection."""
+    """Standard normal quantile, by Newton on the lower-tail CDF."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
+    if p > 0.5:
+        return -normal_quantile(1.0 - p)  # 1 - p is exact here
     if p == 0.5:
         return 0.0
-    if p < 0.5:
-        return -normal_quantile(1.0 - p)
-    hi = 1.0
-    while normal_cdf(hi) < p:
-        hi *= 2.0
-    return bisect_increasing(normal_cdf, p, 0.0, hi, tol=1e-12)
+    return newton_root(
+        lambda x: (normal_cdf(x) - p, math.exp(-0.5 * x * x - _LN_SQRT_2PI)),
+        -40.0, 0.0, _normal_quantile_start(p),
+    )

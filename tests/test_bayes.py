@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy import special as sp
 
+from adux import special
 from adux.bayes import (
     BetaParams,
     CredibleInterval,
@@ -152,15 +154,20 @@ class TestCdfAndQuantile:
         st.floats(min_value=0.5, max_value=50.0),
         st.floats(min_value=0.01, max_value=0.99),
     )
+    @example(a=30.0, b=50.0, x=0.8046875)  # beta_cdf rounds to exactly 1.0
     @settings(max_examples=150, deadline=None)
     def test_quantile_cdf_roundtrip_raw_coordinate(self, a, b, x):
         # Deep in a tail the CDF value quantizes (float spacing near 0/1
         # exceeds density * 1e-8), so the achievable x-precision is
-        # ulp(p) / density; the bound widens accordingly and is capped at
-        # the trivial 1.0 when the float carries no information at all.
+        # ulp(p) / density; the bound widens accordingly. When p rounds to
+        # exactly 0 or 1 the float carries no information about x at all,
+        # and all that can be asked is that x2 maps back to p.
         params = BetaParams(a, b)
         p = beta_cdf(params, x)
         x2 = beta_quantile(params, p)
+        if p in (0.0, 1.0):
+            assert beta_cdf(params, x2) == p
+            return
         density = max(params.pdf(x), 1e-300)
         ulp = max(math.ulp(p), math.ulp(1.0 - p))
         bound = min(1e-8 + 4.0 * ulp / density, 1.0)
@@ -254,6 +261,68 @@ class TestHdi:
             lo, hi = grid_hdi(a, b, 0.95)
             assert interval.lower == pytest.approx(lo, abs=1e-3)
             assert interval.upper == pytest.approx(hi, abs=1e-3)
+
+
+def traffic_grid(sizes):
+    """(posterior, mass) over N in ``sizes``, n/N in {0.05, 0.3, 0.6, 0.9},
+    masses 0.90/0.95/0.99, under the uniform and the Jeffreys prior."""
+    for alpha, beta in ((1.0, 1.0), (0.5, 0.5)):
+        for big_n in sizes:
+            for share in (0.05, 0.3, 0.6, 0.9):
+                n = round(share * big_n)
+                for mass in (0.90, 0.95, 0.99):
+                    yield BetaParams(alpha + n, beta + big_n - n), mass
+
+
+class TestHdiAtTrafficScale:
+    @pytest.mark.parametrize("big_n", [10**5, 10**6, 10**7])
+    def test_mass_and_equal_density_against_scipy(self, big_n):
+        for params, mass in traffic_grid([big_n]):
+            a, b = params.alpha, params.beta
+            interval = hdi(params, mass)
+            held = float(sp.betainc(a, b, interval.upper) - sp.betainc(a, b, interval.lower))
+            assert held == pytest.approx(mass, abs=1e-6), (a, b, mass)
+
+            def log_density(x):  # up to the normalising constant
+                return (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x)
+
+            gap = log_density(interval.lower) - log_density(interval.upper)
+            assert abs(gap) <= 1e-6, (a, b, mass)
+
+    @pytest.mark.parametrize(
+        "a, b, mass",
+        [
+            (1.1, 30.0, 0.99),  # lower endpoint ~1e-22
+            (30.0, 1.1, 0.99),
+            (1.000001, 5.0, 0.95),  # lower endpoint underflows: one-sided in floats
+            (1.000001, 1.000001, 0.99),  # nearly flat
+            (163198.7, 1.0 + 1e-12, 0.95),  # the mode rounds to 1.0
+        ],
+    )
+    def test_endpoints_pressed_against_a_boundary(self, a, b, mass):
+        interval = hdi(BetaParams(a, b), mass)
+        assert interval.kind is IntervalKind.HDI
+        held = float(sp.betainc(a, b, interval.upper) - sp.betainc(a, b, interval.lower))
+        assert held == pytest.approx(mass, abs=1e-6)
+
+    def test_incomplete_beta_calls_per_interval(self, monkeypatch):
+        calls = 0
+        real = special.regularized_incomplete_beta
+
+        def counted(a, b, x):
+            nonlocal calls
+            calls += 1
+            return real(a, b, x)
+
+        monkeypatch.setattr("adux.bayes.regularized_incomplete_beta", counted)
+        monkeypatch.setattr("adux.special.regularized_incomplete_beta", counted)
+        per_interval = []
+        for params, mass in traffic_grid([10**e for e in range(1, 8)]):
+            before = calls
+            hdi(params, mass)
+            per_interval.append(calls - before)
+        assert sum(per_interval) / len(per_interval) <= 50
+        assert max(per_interval) <= 100
 
 
 class TestBucs:

@@ -143,6 +143,20 @@ class TestIeiCommand:
 
 
 class TestReportCommand:
+    def test_bad_timestamp_row_is_rejected_once(self, tmp_path, capsys):
+        path = tmp_path / "stamped.csv"
+        path.write_text(
+            "session_id,category,period,rating,task_completed,timestamp\n"
+            "s1,chat,,4,true,2024-05-01T10:00:00Z\n"
+            "s2,chat,,3,false,2024-05-02T10:00:00Z\n"
+            "s3,chat,,5,true,not-a-time\n"
+        )
+        assert main(["report", "--input", str(path), "--skip-invalid"]) == 0
+        captured = capsys.readouterr()
+        meta = json.loads(captured.out)["meta"]
+        assert (meta["rows"], meta["rejected"]) == (2, 1)
+        assert captured.err.count("skipped row") == 1
+
     def test_json_report_with_digest_on_stderr(self, sessions_csv, capsys):
         assert main(["report", "--input", sessions_csv]) == 0
         captured = capsys.readouterr()

@@ -12,6 +12,7 @@ from scipy import stats
 from adux.special import (
     incomplete_beta_inverse,
     log_gamma,
+    newton_root,
     normal_quantile,
     regularized_incomplete_beta,
     student_t_cdf,
@@ -68,6 +69,41 @@ class TestIncompleteBeta:
         assert ours == pytest.approx(float(sp.betainc(a, b, x)), abs=1e-10)
 
 
+class TestNewtonRoot:
+    def test_quadratic_convergence_from_a_good_start(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x * x - 2.0, 2.0 * x
+
+        assert newton_root(f, 0.0, 2.0, 1.5) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert len(calls) <= 6
+
+    def test_bisects_when_newton_leaves_the_bracket(self):
+        # atan is flat far from its root, so Newton from 10 jumps far
+        # outside the bracket; bisection must take over.
+        def f(x):
+            return math.atan(x - 1.0), 1.0 / (1.0 + (x - 1.0) ** 2)
+
+        assert newton_root(f, -20.0, 20.0, 10.0) == pytest.approx(1.0, rel=1e-12)
+
+    def test_useless_slope_falls_back_to_bisection(self):
+        assert newton_root(lambda x: (x - 0.3, 0.0), 0.0, 1.0, 0.9) == pytest.approx(
+            0.3, rel=1e-11
+        )
+
+    def test_never_returns_an_unevaluated_end(self):
+        # The root, 1 - exp(-800), rounds to the upper end, where the
+        # residual is undefined.
+        def f(x):
+            assert 0.0 < x < 1.0
+            return -800.0 - math.log1p(-x), 1.0 / (1.0 - x)
+
+        x = newton_root(f, 0.0, 1.0, 0.5)
+        assert 0.0 < x < 1.0
+
+
 class TestIncompleteBetaInverse:
     def test_edges(self):
         assert incomplete_beta_inverse(2.0, 3.0, 0.0) == 0.0
@@ -83,6 +119,27 @@ class TestIncompleteBetaInverse:
         x = incomplete_beta_inverse(a, b, p)
         assert regularized_incomplete_beta(a, b, x) == pytest.approx(p, abs=1e-10)
 
+    @pytest.mark.parametrize("a, b", [(0.5, 0.5), (0.3, 4.0), (2.0, 1e6), (6e6 + 1, 4e6 + 1)])
+    @pytest.mark.parametrize("p", [1e-9, 0.05, 0.5, 0.95])
+    def test_matches_scipy_across_shapes(self, a, b, p):
+        expected = float(sp.betaincinv(a, b, p))
+        assert incomplete_beta_inverse(a, b, p) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "a, b, p",
+        [
+            (0.05, 0.5, 1e-8),  # root 3.7e-160, many decades below the start
+            (1.0, 0.05, 0.05),  # the tail estimate lands within 1e-15 of 1
+            (0.2, 3e5, 0.5),
+            (1.0, 2.0, 1e-300),  # the normal-theory start overflowed exp() here
+            (2.0, 1.0, 1e-300),  # ... and here fell 42 decades below the root
+            (1.0, 1e5, 1e-300),  # ... and here underflowed to 0
+        ],
+    )
+    def test_roots_next_to_a_boundary(self, a, b, p):
+        expected = float(sp.betaincinv(a, b, p))
+        assert incomplete_beta_inverse(a, b, p) == pytest.approx(expected, rel=1e-9)
+
 
 class TestStudentT:
     @pytest.mark.parametrize("df", [3, 5, 6, 10, 28])
@@ -91,7 +148,9 @@ class TestStudentT:
         assert student_t_cdf(x, df) == pytest.approx(stats.t.cdf(x, df), abs=1e-12)
 
     @pytest.mark.parametrize("df", [3, 4, 6, 10, 28, 100])
-    @pytest.mark.parametrize("p", [0.005, 0.025, 0.1, 0.5, 0.9, 0.975, 0.995])
+    @pytest.mark.parametrize(
+        "p", [1e-12, 0.005, 0.025, 0.1, 0.5, 0.9, 0.975, 0.995, 1.0 - 1e-12]
+    )
     def test_quantile_matches_scipy(self, df, p):
         assert student_t_quantile(p, df) == pytest.approx(stats.t.ppf(p, df), abs=1e-9)
 
@@ -106,7 +165,9 @@ class TestStudentT:
 
 
 class TestNormalQuantile:
-    @pytest.mark.parametrize("p", [0.001, 0.025, 0.25, 0.5, 0.8, 0.975, 0.999])
+    @pytest.mark.parametrize(
+        "p", [1e-12, 0.001, 0.025, 0.25, 0.5, 0.8, 0.975, 0.999, 1.0 - 1e-12]
+    )
     def test_matches_scipy(self, p):
         assert normal_quantile(p) == pytest.approx(stats.norm.ppf(p), abs=1e-10)
 
