@@ -15,7 +15,6 @@ from adux import (
     five_point,
     iei,
     iei_by_group,
-    iei_normalized,
 )
 
 space = five_point()  # the shipped 1..5 scale
@@ -29,9 +28,9 @@ print("tame probs:    ", tame.probs)
 print("volatile probs:", volatile.probs)
 print()
 print(f"tame IEI:     {iei(tame).value:.4f} bits "
-      f"(normalized {iei_normalized(tame):.3f})")
+      f"(normalized {iei(tame).normalized:.3f})")
 print(f"volatile IEI: {iei(volatile).value:.4f} bits "
-      f"(normalized {iei_normalized(volatile):.3f})")
+      f"(normalized {iei(volatile).normalized:.3f})")
 print()
 print("The normalized form divides by log2(5) = max entropy on this scale,")
 print("so 1.0 means 'uniformly spread' regardless of how many levels exist.")

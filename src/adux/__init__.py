@@ -37,6 +37,7 @@ from .model import (
     ResponseSpace,
     STRICT,
     SKIP_INVALID,
+    SessionCounts,
     SessionObservation,
     ValidationResult,
     build_distribution,
@@ -52,7 +53,6 @@ from .entropy import (
     POOLED,
     iei,
     iei_by_group,
-    iei_normalized,
     iei_of_ratings,
 )
 from .drift import (
@@ -95,9 +95,9 @@ from .report import (
     emit_report,
     emit_sessions,
     evaluate,
-    load_sessions,
     report_document,
 )
+from .ingest import load_sessions, tally_sessions
 
 __all__ = [
     "__version__",
@@ -108,12 +108,12 @@ __all__ = [
     "UnknownRating", "ZeroTrials",
     # core model
     "Dataset", "DiscreteDistribution", "RatingLevel", "Rejection",
-    "ResponseSpace", "STRICT", "SKIP_INVALID", "SessionObservation",
-    "ValidationResult", "build_distribution", "five_point", "validate_dataset",
+    "ResponseSpace", "STRICT", "SKIP_INVALID", "SessionCounts",
+    "SessionObservation", "ValidationResult", "build_distribution", "five_point",
+    "validate_dataset",
     # entropy
     "EntropyBits", "GroupedEntropy", "MEAN_OF_SESSIONS", "PER_CATEGORY",
-    "PER_CATEGORY_PER_PERIOD", "POOLED", "iei", "iei_by_group",
-    "iei_normalized", "iei_of_ratings",
+    "PER_CATEGORY_PER_PERIOD", "POOLED", "iei", "iei_by_group", "iei_of_ratings",
     # drift
     "DriftDirection", "TdcFit", "UsabilitySeries", "classify_drift",
     "fit_tdc", "series_from_dataset",
@@ -127,5 +127,7 @@ __all__ = [
     # report
     "AduxReport", "CategoryResult", "EvalConfig", "Fig3Spec",
     "emit_plot_data", "emit_report", "emit_sessions", "evaluate",
-    "load_sessions", "report_document",
+    "report_document",
+    # ingestion
+    "load_sessions", "tally_sessions",
 ]

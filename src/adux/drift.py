@@ -9,12 +9,11 @@ points are required for a fit; fewer raise :class:`InsufficientData`.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DegenerateTime, InsufficientData, UnknownCategory
-from .model import Dataset
+from .model import Dataset, SessionCounts
 from .special import student_t_quantile
 
 MIN_POINTS = 5
@@ -68,24 +67,28 @@ class DriftDirection(Enum):
     INDETERMINATE = "indeterminate"
 
 
-def series_from_dataset(dataset: Dataset, category: str) -> UsabilitySeries:
+def series_from_dataset(
+    dataset: Dataset | SessionCounts, category: str
+) -> UsabilitySeries:
     """Per-period mean rating of one category, skipping empty periods.
 
     No imputation: periods without data are simply absent from the series.
+    A point is the exact integer sum of code x count over the count, so it
+    equals the mean of the listed ratings.
     """
-    by_period: defaultdict[int, list[int]] = defaultdict(list)
-    for obs in dataset.observations:
-        if obs.category == category:
-            by_period[obs.period].append(obs.rating)
-    if not by_period:
+    counts = SessionCounts.of(dataset)
+    codes = counts.space.codes
+    means = {
+        period: sum(code * k for code, k in zip(codes, n)) / sum(n)
+        for (c, period), n in counts.levels.items()
+        if c == category
+    }
+    if not means:
         raise UnknownCategory(
             f"category {category!r} not in dataset "
-            f"(have: {', '.join(dataset.categories()) or 'none'})"
+            f"(have: {', '.join(counts.categories()) or 'none'})"
         )
-    points = tuple(
-        (t, sum(rs) / len(rs)) for t, rs in sorted(by_period.items())
-    )
-    return UsabilitySeries(points=points)
+    return UsabilitySeries(points=tuple(sorted(means.items())))
 
 
 def fit_tdc(series: UsabilitySeries) -> TdcFit:

@@ -4,6 +4,10 @@ The IEI of a rating distribution is ``-sum(p * log2(p))`` in bits, with the
 standard convention that terms with p = 0 contribute nothing. High values
 mean broadly spread satisfaction responses (an unpredictable-feeling
 interface); zero means every rating landed on one level.
+
+Grouped IEI is computed from rating counts (:class:`~adux.model.SessionCounts`),
+never from the rows themselves: a probability is count / n, the same float
+whether the ratings are counted or listed.
 """
 
 from __future__ import annotations
@@ -13,13 +17,19 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import EmptyDataset
-from .model import Dataset, DiscreteDistribution, ResponseSpace, build_distribution
+from .model import (
+    MEAN_OF_SESSIONS,
+    POOLED,
+    Dataset,
+    DiscreteDistribution,
+    ResponseSpace,
+    SessionCounts,
+    build_distribution,
+    sum_counts,
+)
 
 PER_CATEGORY = "per-category"
 PER_CATEGORY_PER_PERIOD = "per-category-per-period"
-
-POOLED = "pooled"
-MEAN_OF_SESSIONS = "mean-of-sessions"
 
 GroupKey = str | tuple[str, int]
 
@@ -65,11 +75,6 @@ def iei(dist: DiscreteDistribution) -> EntropyBits:
     )
 
 
-def iei_normalized(dist: DiscreteDistribution) -> float:
-    """IEI rescaled to [0, 1] by the maximum log2(|R|); 0 for |R| = 1."""
-    return _normalize(_entropy_bits(dist.probs), len(dist.space))
-
-
 def iei_of_ratings(ratings, space: ResponseSpace) -> EntropyBits:
     """IEI of a raw list of rating codes."""
     return iei(build_distribution(ratings, space))
@@ -77,64 +82,68 @@ def iei_of_ratings(ratings, space: ResponseSpace) -> EntropyBits:
 
 @dataclass(frozen=True)
 class GroupedEntropy:
-    """Per-group IEI results plus diagnostics for groups that had no ratings."""
+    """Per-group IEI results, one per group that has ratings."""
 
     results: tuple[tuple[GroupKey, EntropyBits], ...]
-    empty_groups: tuple[GroupKey, ...] = ()
 
 
-def _mean_of_session_entropies(
-    observations, space: ResponseSpace
-) -> EntropyBits:
-    by_session: defaultdict[str, list[int]] = defaultdict(list)
-    for obs in observations:
-        by_session[obs.session_id].append(obs.rating)
-    values = [
-        _entropy_bits(build_distribution(r, space).probs) for r in by_session.values()
-    ]
+def _entropy_of_counts(counts: list[int]) -> float:
+    n = sum(counts)
+    return _entropy_bits(tuple(c / n for c in counts))
+
+
+def _mean_entropy(parts: list[list[int]], space: ResponseSpace) -> EntropyBits:
+    """IEI of a group as the unweighted mean over its parts' rating counts:
+    its sessions, or the whole group as one part when pooled."""
+    values = [_entropy_of_counts(counts) for counts in parts]
     mean_value = sum(values) / len(values)
     return EntropyBits(
         value=mean_value,
         normalized=_normalize(mean_value, len(space)),
-        n_ratings=len(observations),
+        n_ratings=sum(sum(counts) for counts in parts),
     )
 
 
 def iei_by_group(
-    dataset: Dataset,
+    dataset: Dataset | SessionCounts,
     grouping: str = PER_CATEGORY,
     aggregation: str = POOLED,
 ) -> GroupedEntropy:
-    """IEI per group of a dataset.
+    """IEI per group of a dataset or of its counts.
 
     Grouping is per category or per (category, period). Pooled aggregation
     builds one distribution from all ratings in the group; mean-of-sessions
     computes the IEI of each session separately and averages them
-    (unweighted). ``n_ratings`` reports the total ratings in the group either
-    way. Group keys come back sorted for deterministic output.
+    (unweighted), which needs counts tallied per session. ``n_ratings``
+    reports the total ratings in the group either way. Group keys come back
+    sorted for deterministic output.
     """
     if grouping not in (PER_CATEGORY, PER_CATEGORY_PER_PERIOD):
         raise ValueError(f"unknown grouping {grouping!r}")
     if aggregation not in (POOLED, MEAN_OF_SESSIONS):
         raise ValueError(f"unknown aggregation {aggregation!r}")
-    if len(dataset) == 0:
+    counts = SessionCounts.of(dataset, aggregation)
+    if len(counts) == 0:
         raise EmptyDataset("cannot compute grouped IEI on an empty dataset")
 
-    groups: defaultdict[GroupKey, list] = defaultdict(list)
-    for obs in dataset.observations:
-        key: GroupKey = (
-            obs.category if grouping == PER_CATEGORY else (obs.category, obs.period)
-        )
-        groups[key].append(obs)
+    def group_of(category: str, period: int) -> GroupKey:
+        return category if grouping == PER_CATEGORY else (category, period)
 
-    results = []
-    for key in sorted(groups):
-        members = groups[key]
-        if aggregation == POOLED:
-            entry = iei_of_ratings([o.rating for o in members], dataset.space)
-        else:
-            entry = _mean_of_session_entropies(members, dataset.space)
-        results.append((key, entry))
-    # Groups are induced by observations, so none can be empty; the
-    # diagnostics field exists for callers that pre-declare group keys.
-    return GroupedEntropy(results=tuple(results), empty_groups=())
+    parts: defaultdict[GroupKey, list[list[int]]] = defaultdict(list)
+    if aggregation == POOLED:
+        pooled = sum_counts((group_of(c, p), n) for (c, p), n in counts.levels.items())
+        for key, n in pooled.items():
+            parts[key].append(n)
+    elif counts.per_session:
+        # Sessions keep first-seen order within their group, so the mean
+        # sums the session entropies in the order the rows listed them.
+        sessions = sum_counts(
+            ((group_of(c, p), s), n) for (c, p, s), n in counts.sessions.items()
+        )
+        for (key, _), n in sessions.items():
+            parts[key].append(n)
+    else:
+        raise ValueError("mean-of-sessions IEI needs counts tallied per session")
+    return GroupedEntropy(results=tuple(
+        (key, _mean_entropy(parts[key], counts.space)) for key in sorted(parts)
+    ))

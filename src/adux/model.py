@@ -1,18 +1,27 @@
-"""Core domain types: response spaces, rating distributions, and session logs.
+"""Core domain types: response spaces, rating distributions, session logs
+and the counts every metric is computed from.
 
-Everything here is immutable after construction and validated eagerly, so the
-metric modules can assume well-formed inputs. All operations are pure
-functions and safe to call concurrently.
+The value types are immutable after construction and validated eagerly, so
+the metric modules can assume well-formed inputs. A session log is checked
+row by row by one :class:`RowValidator`, the same for rows given as
+mappings (:func:`validate_dataset`) and rows streamed from a file
+(``ingest.load_sessions`` and ``ingest.tally_sessions``). The metrics need
+only sufficient statistics, which :class:`SessionCounts` holds: rating
+counts per (category, period), task outcomes per category and, for the
+mean-of-sessions IEI, rating counts per session. It is the one mutable
+type here, an accumulator that is filled a row at a time and merges by
+addition; :meth:`Dataset.counts` builds it from observation objects.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, TypeVar
 
 from .errors import (
+    AduxError,
     EmptyInput,
     MalformedRow,
     NegativePeriod,
@@ -141,6 +150,129 @@ class SessionObservation:
             raise NegativePeriod(f"period must be >= 0, got {self.period}")
 
 
+_K = TypeVar("_K", bound=Hashable)
+
+# How IEI aggregates a group: one distribution of all its ratings, or the
+# unweighted mean of each session's entropy (which needs per-session counts).
+POOLED = "pooled"
+MEAN_OF_SESSIONS = "mean-of-sessions"
+
+
+def sum_counts(pairs: Iterable[tuple[_K, Sequence[int]]]) -> dict[_K, list[int]]:
+    """Add up count vectors that share a key; keys keep first-seen order."""
+    total: dict[_K, list[int]] = {}
+    for key, counts in pairs:
+        mine = total.get(key)
+        if mine is None:
+            total[key] = list(counts)
+        else:
+            for i, c in enumerate(counts):
+                mine[i] += c
+    return total
+
+
+@dataclass
+class SessionCounts:
+    """Sufficient statistics of a session log, filled one row at a time.
+
+    ``levels`` maps (category, period) to rating counts, one per level of
+    ``space`` in order. ``trials`` maps a category to
+    ``[completions, trials]`` over its rows that carry a task outcome.
+    ``sessions`` is filled only when ``per_session`` is set (the
+    mean-of-sessions IEI needs it): it maps (category, period, session_id)
+    to rating counts, in the order the keys were first seen, which is the
+    order the mean of session entropies is summed in. ``len()`` is the
+    number of rows counted.
+
+    Tallies merge by addition: ``a + b`` equals the tally of a's rows
+    followed by b's, so separately counted parts of a log combine exactly
+    (Chan, Golub & LeVeque 1979).
+    """
+
+    space: ResponseSpace
+    per_session: bool = False
+    rows: int = 0
+    levels: dict[tuple[str, int], list[int]] = field(default_factory=dict)
+    trials: dict[str, list[int]] = field(default_factory=dict)
+    sessions: dict[tuple[str, int, str], list[int]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self._index = {code: i for i, code in enumerate(self.space.codes)}
+
+    @classmethod
+    def for_aggregation(cls, space: ResponseSpace, aggregation: str = POOLED) -> SessionCounts:
+        """Empty counts holding what IEI under ``aggregation`` reads."""
+        return cls(space, per_session=aggregation == MEAN_OF_SESSIONS)
+
+    @classmethod
+    def of(cls, data: Dataset | SessionCounts, aggregation: str = POOLED) -> SessionCounts:
+        """``data`` as counts: itself when it already is counts, else its tally."""
+        return data if isinstance(data, SessionCounts) else data.counts(aggregation)
+
+    def add(
+        self,
+        session_id: str,
+        category: str,
+        period: int,
+        rating: int,
+        task_completed: bool | None,
+    ) -> None:
+        """Count one validated row."""
+        i = self._index[rating]
+        key = (category, period)
+        counts = self.levels.get(key)
+        if counts is None:
+            counts = self.levels[key] = [0] * len(self._index)
+        counts[i] += 1
+        if task_completed is not None:
+            outcomes = self.trials.get(category)
+            if outcomes is None:
+                outcomes = self.trials[category] = [0, 0]
+            outcomes[0] += task_completed
+            outcomes[1] += 1
+        if self.per_session:
+            session_key = (category, period, session_id)
+            counts = self.sessions.get(session_key)
+            if counts is None:
+                counts = self.sessions[session_key] = [0] * len(self._index)
+            counts[i] += 1
+        self.rows += 1
+
+    def __len__(self) -> int:
+        return self.rows
+
+    def categories(self) -> tuple[str, ...]:
+        """Distinct categories, sorted."""
+        return tuple(sorted({category for category, _ in self.levels}))
+
+    def with_periods(self, period_of: Callable[[int], int]) -> SessionCounts:
+        """The same counts with each period p moved to ``period_of(p)``.
+
+        Counts that land on one period add up; session keys keep the order
+        in which their new keys were first seen.
+        """
+        moved = SessionCounts(self.space, self.per_session, self.rows)
+        moved.levels = sum_counts(
+            ((c, period_of(p)), counts) for (c, p), counts in self.levels.items()
+        )
+        moved.trials = {c: list(outcomes) for c, outcomes in self.trials.items()}
+        moved.sessions = sum_counts(
+            ((c, period_of(p), s), counts) for (c, p, s), counts in self.sessions.items()
+        )
+        return moved
+
+    def __add__(self, other: SessionCounts) -> SessionCounts:
+        if not isinstance(other, SessionCounts):
+            return NotImplemented
+        if other.space != self.space or other.per_session != self.per_session:
+            raise ValueError("only counts over one response space and of one kind merge")
+        total = SessionCounts(self.space, self.per_session, self.rows + other.rows)
+        total.levels = sum_counts([*self.levels.items(), *other.levels.items()])
+        total.trials = sum_counts([*self.trials.items(), *other.trials.items()])
+        total.sessions = sum_counts([*self.sessions.items(), *other.sessions.items()])
+        return total
+
+
 @dataclass(frozen=True)
 class Dataset:
     """A response space plus the observations recorded against it."""
@@ -149,8 +281,9 @@ class Dataset:
     observations: tuple[SessionObservation, ...]
 
     def __post_init__(self) -> None:
+        codes = set(self.space.codes)
         for obs in self.observations:
-            if obs.rating not in self.space:
+            if obs.rating not in codes:
                 raise UnknownRating(
                     f"rating code {obs.rating} (session {obs.session_id!r}) "
                     f"not in response space {self.space.codes}"
@@ -162,6 +295,13 @@ class Dataset:
 
     def for_category(self, category: str) -> tuple[SessionObservation, ...]:
         return tuple(o for o in self.observations if o.category == category)
+
+    def counts(self, aggregation: str = POOLED) -> SessionCounts:
+        """The sufficient statistics of these observations, in their order."""
+        tally = SessionCounts.for_aggregation(self.space, aggregation)
+        for o in self.observations:
+            tally.add(o.session_id, o.category, o.period, o.rating, o.task_completed)
+        return tally
 
     def __len__(self) -> int:
         return len(self.observations)
@@ -238,44 +378,92 @@ def _parse_int(value: Any, name: str) -> int:
         raise ValueError(f"{name} value {value!r} is not an integer") from None
 
 
-def _observation_from_row(row: Mapping[str, Any], space: ResponseSpace) -> SessionObservation:
-    """Build one observation from a raw mapping, raising typed errors."""
-    for key in ("session_id", "category"):
-        value = row.get(key)
-        if value is None or str(value) == "":
-            raise MalformedRow(f"missing {key}")
-    if row.get("rating") is None or row.get("rating") == "":
-        raise MalformedRow("missing rating")
-    if row.get("period") is None or row.get("period") == "":
-        raise MalformedRow("missing period")
-
-    try:
-        period = _parse_int(row["period"], "period")
-        rating = _parse_int(row["rating"], "rating")
-        task = _parse_task_completed(row.get("task_completed"))
-    except ValueError as exc:
-        raise MalformedRow(str(exc)) from None
-
-    if period < 0:
-        raise NegativePeriod(f"period must be >= 0, got {period}")
-    if rating not in space:
-        raise UnknownRating(
-            f"rating code {rating} not in response space {space.codes}"
-        )
-    return SessionObservation(
-        session_id=str(row["session_id"]),
-        category=str(row["category"]),
-        period=period,
-        rating=rating,
-        task_completed=task,
-    )
-
-
 _REASON_BY_TYPE = {
     UnknownRating: "unknown-rating",
     NegativePeriod: "negative-period",
     MalformedRow: "malformed-row",
 }
+
+
+def _parse_fields(
+    space: ResponseSpace, period: Any, rating: Any, task_completed: Any
+) -> tuple[int, int, bool | None] | AduxError:
+    """Parsed (period, rating, task_completed), or the error of the first
+    check that fails: missing rating, missing period, each field's parse,
+    negative period, rating outside the space."""
+    if rating is None or rating == "":
+        return MalformedRow("missing rating")
+    if period is None or period == "":
+        return MalformedRow("missing period")
+    try:
+        period = _parse_int(period, "period")
+        rating = _parse_int(rating, "rating")
+        task = _parse_task_completed(task_completed)
+    except ValueError as exc:
+        return MalformedRow(str(exc))
+    if period < 0:
+        return NegativePeriod(f"period must be >= 0, got {period}")
+    if rating not in space:
+        return UnknownRating(f"rating code {rating} not in response space {space.codes}")
+    return period, rating, task
+
+
+class RowValidator:
+    """Checks raw rows one at a time and keeps the log of rejected ones.
+
+    A row's checks run in a fixed order: missing session_id, missing
+    category, then those of :func:`_parse_fields`. In ``strict`` mode the
+    first invalid row raises its error, prefixed with the row number; in
+    ``skip-invalid`` mode it is recorded in ``rejections`` and dropped.
+
+    The outcome of the (period, rating, task_completed) checks is memoised
+    per distinct triple of raw values, since a log repeats few of them. The
+    key holds each value's type as well, because ``True``, ``1`` and ``1.0``
+    are equal and hash alike in Python yet parse differently; floats are
+    not memoised at all, as ``0.0`` and ``-0.0`` are equal but print apart.
+    """
+
+    def __init__(self, space: ResponseSpace, strictness: str = STRICT) -> None:
+        if strictness not in (STRICT, SKIP_INVALID):
+            raise ValueError(f"strictness must be {STRICT!r} or {SKIP_INVALID!r}")
+        self.space = space
+        self.strict = strictness == STRICT
+        self.rejections: list[Rejection] = []
+        self._parsed: dict[tuple, tuple[int, int, bool | None] | AduxError] = {}
+
+    def reject(self, row: int, error: AduxError) -> None:
+        """Raise (strict) or record (skip-invalid) an invalid row."""
+        if self.strict:
+            raise type(error)(f"row {row}: {error}")
+        self.rejections.append(Rejection(row, _REASON_BY_TYPE[type(error)], str(error)))
+
+    def check(
+        self,
+        row: int,
+        session_id: Any,
+        category: Any,
+        period: Any,
+        rating: Any,
+        task_completed: Any,
+    ) -> tuple[str, str, int, int, bool | None] | None:
+        """The parsed row, or None when it was rejected."""
+        if session_id is None or str(session_id) == "":
+            return self.reject(row, MalformedRow("missing session_id"))
+        if category is None or str(category) == "":
+            return self.reject(row, MalformedRow("missing category"))
+        key = (period, rating, task_completed,
+               period.__class__, rating.__class__, task_completed.__class__)
+        try:
+            parsed = self._parsed[key]
+        except KeyError:
+            parsed = _parse_fields(self.space, period, rating, task_completed)
+            if float not in key[3:]:
+                self._parsed[key] = parsed
+        except TypeError:  # an unhashable JSON value: a list or an object
+            parsed = _parse_fields(self.space, period, rating, task_completed)
+        if parsed.__class__ is not tuple:
+            return self.reject(row, parsed)
+        return (str(session_id), str(category)) + parsed
 
 
 def validate_dataset(
@@ -293,21 +481,16 @@ def validate_dataset(
     ``row_numbers`` optionally supplies the reported numbering (e.g. file
     line numbers); by default rows are numbered from 1.
     """
-    if strictness not in (STRICT, SKIP_INVALID):
-        raise ValueError(f"strictness must be {STRICT!r} or {SKIP_INVALID!r}")
+    validator = RowValidator(space, strictness)
     observations: list[SessionObservation] = []
-    rejections: list[Rejection] = []
     for i, row in enumerate(rows):
         number = row_numbers[i] if row_numbers is not None else i + 1
-        try:
-            observations.append(_observation_from_row(row, space))
-        except (UnknownRating, NegativePeriod, MalformedRow) as exc:
-            if strictness == STRICT:
-                raise type(exc)(f"row {number}: {exc}") from None
-            rejections.append(
-                Rejection(row=number, reason=_REASON_BY_TYPE[type(exc)], detail=str(exc))
-            )
+        get = row.get
+        parsed = validator.check(number, get("session_id"), get("category"),
+                                 get("period"), get("rating"), get("task_completed"))
+        if parsed is not None:
+            observations.append(SessionObservation(*parsed))
     return ValidationResult(
         dataset=Dataset(space=space, observations=tuple(observations)),
-        rejections=tuple(rejections),
+        rejections=tuple(validator.rejections),
     )

@@ -1,10 +1,15 @@
-"""Session-log ingestion, full per-category evaluation, and file emission.
+"""Full per-category evaluation, and file emission.
 
-This module wires the metric modules into a batch pipeline: parse a CSV or
-JSON-lines session log, evaluate IEI / TDC / BUCS per product category, and
-emit a machine-readable report plus plot-data tables. Metrics that cannot
-be computed for a category are reported with a machine-readable reason code
-instead of being silently dropped.
+This module wires the metric modules into a batch pipeline: read a CSV or
+JSON-lines session log (:mod:`adux.ingest`), evaluate IEI / TDC / BUCS per
+product category, and emit a machine-readable report plus plot-data
+tables. Metrics that cannot be computed for a category are reported with a
+machine-readable reason code instead of being silently dropped.
+
+Every metric needs only counts, so the pipeline streams: one pass reads,
+validates and counts each row (:func:`~adux.ingest.tally_sessions`), and
+:func:`evaluate` works from those counts, or tallies a :class:`Dataset`
+of row objects first.
 
 File writes are atomic (write to a temp file, then rename), so a failed run
 never leaves a partially written output behind.
@@ -18,6 +23,7 @@ import io
 import json
 import os
 import tempfile
+from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -26,180 +32,25 @@ from typing import Any, IO
 from .bayes import BetaParams, BucsResult, TrialSummary, bucs, hdi, posterior, wald_ci
 from .drift import MIN_POINTS, TdcFit, UsabilitySeries, fit_tdc, series_from_dataset
 from .entropy import EntropyBits, POOLED, PER_CATEGORY, iei_by_group
-from .errors import (
-    EmptyDataset,
-    IoFailure,
-    MalformedRow,
-    MissingInput,
-    NegativePeriod,
-    UnknownFormat,
-    UnknownRating,
-)
-from .model import (
-    Dataset,
-    Rejection,
-    ResponseSpace,
-    STRICT,
-    ValidationResult,
-    validate_dataset,
-)
+from .errors import EmptyDataset, IoFailure, MissingInput, UnknownFormat
+# Re-exported, so that code importing them from adux.report keeps working
+# (benchmark/child.py times validate_dataset under this name).
+from .ingest import FORMAT_CSV, FORMAT_JSONL, load_sessions  # noqa: F401
+from .model import Dataset, ResponseSpace, SessionCounts, validate_dataset  # noqa: F401
 from .version import __version__
 
 REASON_INSUFFICIENT_PERIODS = "insufficient-periods"
 REASON_NO_TASK_OUTCOMES = "no-task-outcomes"
 
-FORMAT_CSV = "csv"
-FORMAT_JSONL = "jsonl"
-_FORMAT_ALIASES = {"csv": FORMAT_CSV, "jsonl": FORMAT_JSONL, "json-lines": FORMAT_JSONL}
-
-_REQUIRED_COLUMNS = ("session_id", "category", "period", "rating")
-
-_EXC_BY_REASON = {
-    "unknown-rating": UnknownRating,
-    "negative-period": NegativePeriod,
-    "malformed-row": MalformedRow,
-}
-
 
 # ---------------------------------------------------------------------------
-# ingestion
+# session logs
 
 
-def _parse_rfc3339(text: str) -> datetime:
-    """RFC 3339 timestamp to an aware UTC datetime."""
-    t = text.strip()
-    if t.endswith(("Z", "z")):
-        t = t[:-1] + "+00:00"
-    dt = datetime.fromisoformat(t)
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc)
-
-
-def _window_ordinal(dt: datetime, window: str) -> int:
-    """Index of the (UTC) calendar window containing dt, on an absolute axis."""
-    if window == "day":
-        return dt.date().toordinal()
-    if window == "hour":
-        return dt.date().toordinal() * 24 + dt.hour
-    if window == "week":
-        monday = dt.date().toordinal() - dt.date().weekday()
-        return monday // 7
-    raise ValueError(f"unknown bucketing window {window!r}")
-
-
-def _read_raw_rows(
-    handle: IO[str], fmt: str
-) -> tuple[list[tuple[int, dict[str, Any]]], list[Rejection]]:
-    """Parse the container format into (line number, mapping) pairs."""
-    rows: list[tuple[int, dict[str, Any]]] = []
-    errors: list[Rejection] = []
-    if fmt == FORMAT_CSV:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise MalformedRow("line 1: empty input, expected a CSV header")
-        missing = [c for c in _REQUIRED_COLUMNS if c not in reader.fieldnames]
-        if missing:
-            raise MalformedRow(
-                f"line 1: header is missing required column(s): {', '.join(missing)}"
-            )
-        for row in reader:
-            rows.append((reader.line_num, dict(row)))
-        return rows, errors
-    # json-lines
-    for line_num, line in enumerate(handle, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            errors.append(Rejection(line_num, "malformed-row", f"invalid JSON: {exc.msg}"))
-            continue
-        if not isinstance(obj, dict):
-            errors.append(
-                Rejection(line_num, "malformed-row", "JSON line is not an object")
-            )
-            continue
-        rows.append((line_num, obj))
-    return rows, errors
-
-
-def _resolve_periods(
-    rows: list[tuple[int, dict[str, Any]]], window: str
-) -> list[Rejection]:
-    """Fill missing periods from timestamps, bucketed by the given window.
-
-    Periods are counted relative to the earliest timestamp among the rows
-    that needed one. Mutates the row mappings in place and returns the
-    rejections for unparseable timestamps.
-    """
-    errors: list[Rejection] = []
-    pending: list[tuple[int, dict[str, Any], datetime]] = []
-    for line_num, row in rows:
-        has_period = row.get("period") not in (None, "")
-        ts = row.get("timestamp")
-        if has_period or ts in (None, ""):
-            continue
-        try:
-            pending.append((line_num, row, _parse_rfc3339(str(ts))))
-        except ValueError:
-            errors.append(
-                Rejection(line_num, "malformed-row", f"invalid RFC 3339 timestamp {ts!r}")
-            )
-    if pending:
-        origin = min(_window_ordinal(ts, window) for _, _, ts in pending)
-        for _, row, ts in pending:
-            row["period"] = _window_ordinal(ts, window) - origin
-    return errors
-
-
-def load_sessions(
-    source: str | Path | IO[str],
-    fmt: str = FORMAT_CSV,
-    space: ResponseSpace | None = None,
-    strictness: str = STRICT,
-    window: str = "day",
-) -> ValidationResult:
-    """Parse a session log into a validated dataset plus rejection log.
-
-    ``fmt`` is ``csv`` or ``jsonl`` (alias ``json-lines``); both carry the
-    same fields. Rows whose ``period`` is empty fall back to bucketing their
-    ``timestamp`` into UTC calendar windows (default: day). Strict mode
-    raises on the first invalid row; skip-invalid mode drops and logs.
-    """
-    from .model import five_point
-
-    fmt_key = _FORMAT_ALIASES.get(fmt)
-    if fmt_key is None:
-        raise UnknownFormat(f"unsupported input format {fmt!r} (expected csv or jsonl)")
-    space = space if space is not None else five_point()
-
-    try:
-        if hasattr(source, "read"):
-            raw_rows, format_errors = _read_raw_rows(source, fmt_key)
-        else:
-            with open(source, "r", encoding="utf-8", newline="") as handle:
-                raw_rows, format_errors = _read_raw_rows(handle, fmt_key)
-    except OSError as exc:
-        raise IoFailure(f"cannot read {source}: {exc}") from exc
-
-    period_errors = _resolve_periods(raw_rows, window)
-    if period_errors:  # rejected once here, so not again by validate_dataset
-        dropped = {r.row for r in period_errors}
-        raw_rows = [(line, row) for line, row in raw_rows if line not in dropped]
-        format_errors.extend(period_errors)
-
-    result = validate_dataset(
-        [row for _, row in raw_rows],
-        space,
-        strictness="skip-invalid",
-        row_numbers=[line for line, _ in raw_rows],
-    )
-    rejections = sorted(format_errors + list(result.rejections), key=lambda r: r.row)
-    if strictness == STRICT and rejections:
-        first = rejections[0]
-        raise _EXC_BY_REASON[first.reason](f"row {first.row}: {first.detail}")
-    return ValidationResult(dataset=result.dataset, rejections=tuple(rejections))
+def _session_rows(dataset: Dataset) -> Iterator[tuple]:
+    yield ("session_id", "category", "period", "rating", "task_completed")
+    for o in dataset.observations:
+        yield (o.session_id, o.category, o.period, o.rating, _cell(o.task_completed))
 
 
 def emit_sessions(
@@ -208,13 +59,20 @@ def emit_sessions(
     """Render a dataset back to the session CSV format (round-trips with
     :func:`load_sessions`)."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(("session_id", "category", "period", "rating", "task_completed"))
-    for o in dataset.observations:
-        writer.writerow(
-            (o.session_id, o.category, o.period, o.rating, _cell(o.task_completed))
-        )
+    csv.writer(buffer, lineterminator="\n").writerows(_session_rows(dataset))
     text = buffer.getvalue()
+    if "\r" in text:
+        # A "\n"-terminated writer leaves a "\r" inside a cell unquoted, and
+        # the reader refuses that line; a "\r\n"-terminated writer quotes it.
+        line = io.StringIO()
+        writer = csv.writer(line, lineterminator="\r\n")
+        parts = []
+        for row in _session_rows(dataset):
+            line.seek(0)
+            line.truncate()
+            writer.writerow(row)
+            parts.append(line.getvalue()[:-2] + "\n")
+        text = "".join(parts)
     if destination is not None:
         _write_text(destination, text)
     return text
@@ -279,40 +137,39 @@ class AduxReport:
 
 
 def evaluate(
-    dataset: Dataset,
+    dataset: Dataset | SessionCounts,
     config: EvalConfig | None = None,
     n_rejected: int = 0,
 ) -> AduxReport:
     """Run the full three-metric evaluation for every category.
 
-    IEI is always computed. TDC needs at least five populated periods and is
-    otherwise reported unavailable with reason ``insufficient-periods``.
+    Reads only counts: a :class:`Dataset` is tallied once first, and
+    :func:`~adux.ingest.tally_sessions` gives the counts of a log without
+    one. IEI is always computed. TDC needs at least five populated periods
+    and is otherwise reported unavailable with reason ``insufficient-periods``.
     BUCS needs task outcomes and is otherwise reported unavailable with
     reason ``no-task-outcomes``.
     """
     config = config if config is not None else EvalConfig()
-    if len(dataset) == 0:
+    counts = SessionCounts.of(dataset, config.aggregation)
+    if len(counts) == 0:
         raise EmptyDataset("cannot evaluate an empty dataset")
 
     grouped = dict(
-        iei_by_group(dataset, grouping=PER_CATEGORY, aggregation=config.aggregation).results
+        iei_by_group(counts, grouping=PER_CATEGORY, aggregation=config.aggregation).results
     )
 
     categories = []
-    for name in dataset.categories():
-        series = series_from_dataset(dataset, name)
+    for name in counts.categories():
+        series = series_from_dataset(counts, name)
         if len(series) >= MIN_POINTS:
             tdc_fit, tdc_reason = fit_tdc(series), None
         else:
             tdc_fit, tdc_reason = None, REASON_INSUFFICIENT_PERIODS
 
-        outcomes = [
-            o.task_completed
-            for o in dataset.for_category(name)
-            if o.task_completed is not None
-        ]
-        if outcomes:
-            trials = TrialSummary(completions=sum(outcomes), trials=len(outcomes))
+        outcomes = counts.trials.get(name)
+        if outcomes is not None:
+            trials = TrialSummary(completions=outcomes[0], trials=outcomes[1])
             bucs_result, bucs_reason = bucs(config.prior, trials, config.mass), None
         else:
             trials, bucs_result, bucs_reason = None, None, REASON_NO_TASK_OUTCOMES
@@ -331,16 +188,16 @@ def evaluate(
         )
 
     meta = ReportMeta(
-        rows=len(dataset),
+        rows=len(counts),
         rejected=n_rejected,
-        config_digest=config.digest(dataset.space),
+        config_digest=config.digest(counts.space),
         aggregation=config.aggregation,
         prior=config.prior,
         mass=config.mass,
         version=__version__,
         generated_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
     )
-    return AduxReport(scale=dataset.space, categories=tuple(categories), meta=meta)
+    return AduxReport(scale=counts.space, categories=tuple(categories), meta=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from adux.errors import InsufficientData
 from adux.model import DiscreteDistribution, ResponseSpace, five_point
 from adux.report import EvalConfig, emit_plot_data, evaluate
 from adux.synth import GeneratorSpec, category_presets, gen_drift_series, gen_ratings
-from oracles import entropy_bits_direct, grid_hdi, normal_equations_fit
+from oracles import entropy_bits_direct, min_width_hdi, normal_equations_fit
 
 LOG2_5 = 2.321928094887362
 
@@ -161,7 +161,7 @@ def test_criterion_05_posterior_conjugacy():
 
 
 def test_criterion_06_interval_mass_and_optimality():
-    with _criterion(6, "interval mass, HDI optimality vs grid oracle", 30.0):
+    with _criterion(6, "interval mass, HDI optimality vs min-width oracle", 30.0):
         rng = np.random.default_rng(62)
         for _ in range(200):
             a = float(rng.uniform(1.2, 40.0))
@@ -174,7 +174,7 @@ def test_criterion_06_interval_mass_and_optimality():
             central = equal_tailed_interval(params, 0.95)
             assert interval.width <= central.width + 1e-6
 
-            oracle_lo, oracle_hi = grid_hdi(a, b, 0.95)
+            oracle_lo, oracle_hi = min_width_hdi(a, b, 0.95)
             assert interval.lower == pytest.approx(oracle_lo, abs=1e-3)
             assert interval.upper == pytest.approx(oracle_hi, abs=1e-3)
 

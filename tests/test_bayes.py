@@ -25,11 +25,11 @@ from adux.bayes import (
     wald_ci,
 )
 from adux.errors import InvalidMass, ZeroTrials
-from oracles import grid_hdi
+from oracles import min_width_hdi
 
 # Frozen oracle values (computed before the implementation existed):
 # - Beta(8,4) median from a CDF grid at step 1e-7.
-# - HDI endpoints from the exhaustive grid oracle (see oracles.grid_hdi).
+# - HDI endpoints from an exhaustive grid search over scipy's incomplete beta.
 BETA_8_4_MEDIAN = 0.6761955
 BETA_2_2_HDI = (0.0942993240, 0.9057006759)
 BETA_8_4_HDI = (0.4120474430, 0.9066276692)
@@ -258,7 +258,7 @@ class TestHdi:
             a = float(rng.uniform(1.2, 40.0))
             b = float(rng.uniform(1.2, 40.0))
             interval = hdi(BetaParams(a, b), 0.95)
-            lo, hi = grid_hdi(a, b, 0.95)
+            lo, hi = min_width_hdi(a, b, 0.95)
             assert interval.lower == pytest.approx(lo, abs=1e-3)
             assert interval.upper == pytest.approx(hi, abs=1e-3)
 

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from adux.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 SESSIONS = """session_id,category,period,rating,task_completed
 s1,chat,0,4,true
@@ -279,6 +282,19 @@ class TestPlotdataCommand:
         assert main(["plotdata", "--figure", "fig2", "--input", sessions_csv]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "category,t,u,fitted_u"
+
+    def test_invalid_earliest_row_does_not_move_periods(self, capsys):
+        # The earliest timestamped row has rating 9 and is dropped; the six
+        # valid rows, one a day, must take periods 0..5, not 1..6.
+        path = DATA / "period_origin.jsonl"
+        assert main(["plotdata", "--figure", "fig2", "--input", str(path),
+                     "--format", "jsonl", "--skip-invalid"]) == 0
+        captured = capsys.readouterr()
+        periods = [line.split(",")[1] for line in captured.out.strip().split("\n")[1:]]
+        assert periods == ["0", "1", "2", "3", "4", "5"]
+        assert captured.err == (
+            "adux: skipped row 1: rating code 9 not in response space (1, 2, 3, 4, 5)\n"
+        )
 
 
 class TestPipelineDeterminism:

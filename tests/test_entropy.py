@@ -15,7 +15,6 @@ from adux.entropy import (
     POOLED,
     iei,
     iei_by_group,
-    iei_normalized,
     iei_of_ratings,
 )
 from adux.errors import EmptyDataset
@@ -65,13 +64,13 @@ class TestIei:
 
 class TestIeiNormalized:
     def test_uniform_is_one(self):
-        assert iei_normalized(_dist(0.2, 0.2, 0.2, 0.2, 0.2)) == pytest.approx(1.0)
+        assert iei(_dist(0.2, 0.2, 0.2, 0.2, 0.2)).normalized == pytest.approx(1.0)
 
     def test_degenerate_is_zero(self):
-        assert iei_normalized(_dist(1.0, 0.0, 0.0, 0.0, 0.0)) == 0.0
+        assert iei(_dist(1.0, 0.0, 0.0, 0.0, 0.0)).normalized == 0.0
 
     def test_single_level_space_is_zero_by_convention(self):
-        assert iei_normalized(_dist(1.0)) == 0.0
+        assert iei(_dist(1.0)).normalized == 0.0
 
 
 @st.composite

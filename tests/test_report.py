@@ -158,6 +158,17 @@ class TestTimestampBucketing:
         ds = _csv(text, window="week").dataset
         assert [o.period for o in ds.observations] == [0, 1]
 
+    def test_periods_count_from_earliest_valid_row(self):
+        text = (
+            "session_id,category,period,rating,timestamp\n"
+            "s0,chat,,9,2024-03-01T10:00:00Z\n"
+            "s1,chat,,4,2024-03-02T10:00:00Z\n"
+            "s2,chat,,5,2024-03-04T10:00:00Z\n"
+            "s3,chat,7,3,\n"
+        )
+        ds = _csv(text, strictness=SKIP_INVALID).dataset
+        assert [o.period for o in ds.observations] == [0, 2, 7]
+
     def test_bad_timestamp_rejected_with_line(self):
         text = (
             "session_id,category,period,rating,timestamp\n"
