@@ -84,6 +84,7 @@ from .synth import (
     discretized_line_distributions,
     gen_drift_series,
     gen_ratings,
+    gen_session_rows,
     gen_trials,
 )
 from .report import (
@@ -123,7 +124,7 @@ __all__ = [
     "equal_tailed_interval", "hdi", "posterior", "update_prior", "wald_ci",
     # synth
     "GeneratorSpec", "category_presets", "discretized_line_distributions",
-    "gen_drift_series", "gen_ratings", "gen_trials",
+    "gen_drift_series", "gen_ratings", "gen_session_rows", "gen_trials",
     # report
     "AduxReport", "CategoryResult", "EvalConfig", "Fig3Spec",
     "emit_plot_data", "emit_report", "emit_sessions", "evaluate",

@@ -4,6 +4,10 @@ Exit codes follow the usual conventions: 0 on success, 2 on data or
 validation failures, 64 on usage errors. Results go to stdout or ``--out``;
 diagnostics go to stderr. Output files are written atomically, so a failed
 run never leaves a partial file behind.
+
+``simulate`` checks its specs, then writes each session row as it is
+drawn, so its memory holds one period's rows, not the log. Only
+``simulate`` loads numpy.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 from typing import Any, NoReturn
 
 from .bayes import BetaParams, TrialSummary, bucs, wald_ci
@@ -21,18 +26,21 @@ from .errors import AduxError
 # load_sessions is not called here; benchmark/child.py times it under this
 # name and reads 0 for it, as it does for every other span a command skips.
 from .ingest import load_sessions, tally_sessions  # noqa: F401
-from .model import Dataset, DiscreteDistribution, ResponseSpace, SKIP_INVALID, STRICT
+from .model import DiscreteDistribution, ResponseSpace, SKIP_INVALID, STRICT
 from .report import (
     EvalConfig,
     Fig3Spec,
     emit_plot_data,
     emit_report,
-    emit_sessions,
     evaluate,
+    open_output,
+    write_sessions,
     _num,
-    _write_text,
 )
-from .synth import GeneratorSpec, category_presets, gen_ratings
+# Nor are these: `simulate` streams its rows through write_sessions.
+from .report import emit_sessions  # noqa: F401
+from .synth import GeneratorSpec, category_presets, gen_session_rows
+from .synth import gen_ratings  # noqa: F401
 from .version import __version__
 
 EXIT_OK = 0
@@ -103,8 +111,8 @@ def _probs_arg(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"bad probability list {text!r}") from None
 
 
-def _add_input_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", required=True, help="session log path, or - for stdin")
+def _add_input_options(p: argparse.ArgumentParser, required: bool = True) -> None:
+    p.add_argument("--input", required=required, help="session log path, or - for stdin")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv",
                    help="input format (default csv)")
     p.add_argument("--scale", type=_scale_arg, default=(1, 5), metavar="LO..HI",
@@ -152,10 +160,8 @@ def _tally(args: argparse.Namespace, aggregation: str = POOLED):
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    with open_output(args.out or sys.stdout) as handle:
+        handle.write(text)
 
 
 def _json_text(doc: dict[str, Any]) -> str:
@@ -304,16 +310,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
 
-    datasets = [gen_ratings(spec) for spec in specs]
-    space = datasets[0].space
-    observations: list = []
-    for ds in datasets:
-        if ds.space != space:
-            raise _UsageError("all simulated categories must share one scale")
-        observations.extend(ds.observations)
-    merged = Dataset(space=space, observations=tuple(observations))
-    print(f"adux: simulated {len(merged)} sessions (seed {seed})", file=sys.stderr)
-    _emit(args, emit_sessions(merged))
+    if not specs:
+        raise _UsageError("simulate config holds no specs")
+    if any(spec.space != specs[0].space for spec in specs):
+        raise _UsageError("all simulated categories must share one scale")
+    rows = sum(spec.periods * spec.sessions_per_period for spec in specs)
+    print(f"adux: simulated {rows} sessions (seed {seed})", file=sys.stderr)
+    with open_output(args.out or sys.stdout) as handle:
+        write_sessions(chain.from_iterable(map(gen_session_rows, specs)), handle)
     return EXIT_OK
 
 
@@ -399,14 +403,7 @@ def build_parser() -> _Parser:
 
     p_plot = sub.add_parser("plotdata", help="CSV tables behind the standard figures")
     p_plot.add_argument("--figure", choices=("fig1", "fig2", "fig3"), required=True)
-    p_plot.add_argument("--input", help="session log (fig1/fig2)")
-    p_plot.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    p_plot.add_argument("--scale", type=_scale_arg, default=(1, 5), metavar="LO..HI")
-    group = p_plot.add_mutually_exclusive_group()
-    group.add_argument("--strict", dest="strictness", action="store_const",
-                       const=STRICT, default=STRICT)
-    group.add_argument("--skip-invalid", dest="strictness", action="store_const",
-                       const=SKIP_INVALID)
+    _add_input_options(p_plot, required=False)  # fig1 and fig2 only
     p_plot.add_argument("--aggregation", choices=(POOLED, MEAN_OF_SESSIONS),
                         default=POOLED)
     _add_bayes_options(p_plot)

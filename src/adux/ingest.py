@@ -75,28 +75,31 @@ def _csv_records(handle: IO[str]) -> Iterator[_RawRecord]:
     numbered by the reader's line count at its end.
     """
     reader = csv.reader(handle)
-    header = next(reader, None)
-    if header is None:
-        raise MalformedRow("line 1: empty input, expected a CSV header")
-    missing = [c for c in _REQUIRED_COLUMNS if c not in header]
-    if missing:
-        raise MalformedRow(
-            f"line 1: header is missing required column(s): {', '.join(missing)}"
-        )
-    width = len(header)
-    column = {name: i for i, name in enumerate(header)}
-    # An absent field reads the None appended after the last cell.
-    pick = itemgetter(*(column.get(name, width) for name in _FIELDS))
-    for row in reader:
-        if len(row) == width:
-            row.append(None)
-        elif not row:
-            continue
-        else:
-            # Short records pad with None; long ones drop the extra cells,
-            # which DictReader files under its restkey, never a field.
-            row = row[:width] + [None] * max(1, width + 1 - len(row))
-        yield reader.line_num, pick(row)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise MalformedRow("line 1: empty input, expected a CSV header")
+        missing = [c for c in _REQUIRED_COLUMNS if c not in header]
+        if missing:
+            raise MalformedRow(
+                f"line 1: header is missing required column(s): {', '.join(missing)}"
+            )
+        width = len(header)
+        column = {name: i for i, name in enumerate(header)}
+        # An absent field reads the None appended after the last cell.
+        pick = itemgetter(*(column.get(name, width) for name in _FIELDS))
+        for row in reader:
+            if len(row) == width:
+                row.append(None)
+            elif not row:
+                continue
+            else:
+                # Short records pad with None; long ones drop the extra cells,
+                # which DictReader files under its restkey, never a field.
+                row = row[:width] + [None] * max(1, width + 1 - len(row))
+            yield reader.line_num, pick(row)
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise MalformedRow(f"line {reader.line_num}: unreadable CSV: {exc}") from None
 
 
 def _jsonl_records(handle: IO[str]) -> Iterator[_RawRecord]:
@@ -107,6 +110,12 @@ def _jsonl_records(handle: IO[str]) -> Iterator[_RawRecord]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             yield line_num, f"invalid JSON: {exc.msg}"
+            continue
+        except RecursionError:
+            yield line_num, "invalid JSON: nested too deeply"
+            continue
+        except ValueError:  # an integer longer than sys.get_int_max_str_digits()
+            yield line_num, "invalid JSON: integer too long"
             continue
         if not isinstance(obj, dict):
             yield line_num, "JSON line is not an object"
@@ -139,7 +148,7 @@ def _scan(
         if ts is not None and ts != "" and (period is None or period == ""):
             try:
                 stamp = _parse_rfc3339(str(ts))
-            except ValueError:
+            except (ValueError, OverflowError):  # OverflowError: out of range in UTC
                 validator.reject(number, MalformedRow(f"invalid RFC 3339 timestamp {ts!r}"))
                 continue
             ordinal = _window_ordinal(stamp, window)
@@ -152,6 +161,18 @@ def _scan(
         if row is not None:
             keep(*row)
     return origin
+
+
+def _undecodable_line(path: str | Path) -> int | None:
+    """Number of the first line of a file that is not UTF-8, counting lines
+    as the readers do."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
+        for number, line in enumerate(handle, start=1):
+            try:
+                line.encode("utf-8")  # an undecodable byte reads as a lone surrogate
+            except UnicodeEncodeError:
+                return number
+    return None
 
 
 def _ingest(
@@ -179,6 +200,10 @@ def _ingest(
                 origin = _scan(handle, fmt_key, validator, window, keep)
     except OSError as exc:
         raise IoFailure(f"cannot read {source}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        line = None if hasattr(source, "read") else _undecodable_line(source)
+        where = "input" if line is None else f"line {line}"
+        raise MalformedRow(f"{where}: not UTF-8 text ({exc.reason})") from None
 
     def period_of(period: int) -> int:
         return period if period >= 0 else ~period - origin

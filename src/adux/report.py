@@ -9,10 +9,13 @@ machine-readable reason code instead of being silently dropped.
 Every metric needs only counts, so the pipeline streams: one pass reads,
 validates and counts each row (:func:`~adux.ingest.tally_sessions`), and
 :func:`evaluate` works from those counts, or tallies a :class:`Dataset`
-of row objects first.
+of row objects first. Session logs are written the same way:
+:func:`write_sessions` renders rows as they come, a chunk at a time, for
+``adux simulate`` and for :func:`emit_sessions` alike.
 
-File writes are atomic (write to a temp file, then rename), so a failed run
-never leaves a partially written output behind.
+Every file is written through :func:`open_output`: a temp file that
+replaces the destination only once the write has finished, so a failed
+run never leaves a partially written output behind.
 """
 
 from __future__ import annotations
@@ -23,9 +26,12 @@ import io
 import json
 import os
 import tempfile
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import islice
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, IO
 
@@ -47,10 +53,45 @@ REASON_NO_TASK_OUTCOMES = "no-task-outcomes"
 # session logs
 
 
-def _session_rows(dataset: Dataset) -> Iterator[tuple]:
-    yield ("session_id", "category", "period", "rating", "task_completed")
-    for o in dataset.observations:
-        yield (o.session_id, o.category, o.period, o.rating, _cell(o.task_completed))
+_SESSION_COLUMNS = ("session_id", "category", "period", "rating", "task_completed")
+_TASK_CELL = {True: "true", False: "false", None: ""}
+_CHUNK_ROWS = 8192
+_row_of = attrgetter(*_SESSION_COLUMNS)
+
+
+def _cr_quoted(rows: list[tuple]) -> str:
+    # A "\n"-terminated writer leaves a "\r" inside a cell unquoted, and
+    # the reader refuses that line; a "\r\n"-terminated writer quotes it.
+    line = io.StringIO()
+    writer = csv.writer(line, lineterminator="\r\n")
+    parts = []
+    for row in rows:
+        line.seek(0)
+        line.truncate()
+        writer.writerow(row)
+        parts.append(line.getvalue()[:-2] + "\n")
+    return "".join(parts)
+
+
+def write_sessions(
+    rows: Iterable[tuple[str, str, int, int, bool | None]], handle: IO[str]
+) -> None:
+    """Write session rows to an open text handle in the session CSV format.
+
+    Rows are rendered and written a chunk at a time as they are consumed,
+    so memory holds one chunk, not the log. Every row ends in a line feed;
+    a cell holding a carriage return is quoted.
+    """
+    cells = ((s, c, p, r, _TASK_CELL[t]) for s, c, p, r, t in rows)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    handle.write(",".join(_SESSION_COLUMNS) + "\n")
+    while chunk := list(islice(cells, _CHUNK_ROWS)):
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerows(chunk)
+        text = buffer.getvalue()
+        handle.write(_cr_quoted(chunk) if "\r" in text else text)
 
 
 def emit_sessions(
@@ -59,22 +100,11 @@ def emit_sessions(
     """Render a dataset back to the session CSV format (round-trips with
     :func:`load_sessions`)."""
     buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerows(_session_rows(dataset))
+    write_sessions(map(_row_of, dataset.observations), buffer)
     text = buffer.getvalue()
-    if "\r" in text:
-        # A "\n"-terminated writer leaves a "\r" inside a cell unquoted, and
-        # the reader refuses that line; a "\r\n"-terminated writer quotes it.
-        line = io.StringIO()
-        writer = csv.writer(line, lineterminator="\r\n")
-        parts = []
-        for row in _session_rows(dataset):
-            line.seek(0)
-            line.truncate()
-            writer.writerow(row)
-            parts.append(line.getvalue()[:-2] + "\n")
-        text = "".join(parts)
     if destination is not None:
-        _write_text(destination, text)
+        with open_output(destination) as handle:
+            handle.write(text)
     return text
 
 
@@ -354,10 +384,13 @@ def _render_report(report: AduxReport, fmt: str, no_meta: bool) -> str:
     raise UnknownFormat(f"unsupported report format {fmt!r} (expected json or csv)")
 
 
-def _write_text(destination: str | Path | IO[str], text: str) -> None:
-    """Write to a file-like directly, or to a path atomically."""
+@contextmanager
+def open_output(destination: str | Path | IO[str]) -> Iterator[IO[str]]:
+    """A text handle on the destination: a file-like itself, or for a path
+    a temporary file in its directory that replaces the path only when the
+    block ends without error, so a failed write leaves no partial file."""
     if hasattr(destination, "write"):
-        destination.write(text)
+        yield destination
         return
     path = Path(destination)
     try:
@@ -366,7 +399,7 @@ def _write_text(destination: str | Path | IO[str], text: str) -> None:
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
+                yield handle
             os.replace(tmp_name, path)
         except BaseException:
             os.unlink(tmp_name)
@@ -388,7 +421,8 @@ def emit_report(
     """
     text = _render_report(report, fmt, no_meta)
     if destination is not None:
-        _write_text(destination, text)
+        with open_output(destination) as handle:
+            handle.write(text)
     return text
 
 
@@ -469,5 +503,6 @@ def emit_plot_data(
         writer.writerow(["" if v is None else _cell(v) for v in row])
     text = buffer.getvalue()
     if destination is not None:
-        _write_text(destination, text)
+        with open_output(destination) as handle:
+            handle.write(text)
     return text

@@ -8,18 +8,28 @@ Randomness comes from numpy's PCG64 generator seeded per spec; identical
 specs produce identical output within a build. Gaussian noise is produced
 by the Box-Muller transform of uniform draws. Statistical tolerances, not
 golden random streams, are the compatibility contract across builds.
+
+:func:`gen_session_rows` draws a spec's sessions one period at a time, so
+``adux simulate`` writes them as they are drawn; :func:`gen_ratings`
+collects the same rows into a :class:`~adux.model.Dataset`. Only the
+generator functions need numpy, and they import it when called, so that
+importing :mod:`adux` (and running ``report`` or ``bucs``) never loads it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import repeat
+from typing import TYPE_CHECKING
 
 from .bayes import TrialSummary
 from .drift import UsabilitySeries
 from .model import Dataset, DiscreteDistribution, ResponseSpace, SessionObservation, five_point
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -80,6 +90,8 @@ def _sample_codes(
     rng: np.random.Generator, dist: DiscreteDistribution, size: int
 ) -> np.ndarray:
     """Inverse-CDF sampling of rating codes from uniform draws."""
+    import numpy as np
+
     cum = np.cumsum(np.asarray(dist.probs, dtype=float))
     idx = np.searchsorted(cum, rng.random(size), side="right")
     idx = np.minimum(idx, len(dist.probs) - 1)  # cumsum may top out below 1.0
@@ -88,6 +100,8 @@ def _sample_codes(
 
 def _box_muller(rng: np.random.Generator, size: int) -> np.ndarray:
     """Standard normals via the Box-Muller transform of uniforms."""
+    import numpy as np
+
     pairs = (size + 1) // 2
     u1 = 1.0 - rng.random(pairs)  # shift to (0, 1] so log never sees 0
     u2 = rng.random(pairs)
@@ -98,30 +112,31 @@ def _box_muller(rng: np.random.Generator, size: int) -> np.ndarray:
     return out[:size]
 
 
-def gen_ratings(spec: GeneratorSpec) -> Dataset:
-    """Synthetic session log: one rated session per (period, session) cell.
+def gen_session_rows(spec: GeneratorSpec) -> Iterator[tuple[str, str, int, int, bool]]:
+    """Synthetic session rows ``(session_id, category, period, rating,
+    task_completed)``: one rated session per (period, session) cell.
 
     Ratings are drawn from the spec's (possibly per-period) distribution and
-    each session gets a Bernoulli(completion_p) task outcome. Deterministic
-    for a fixed seed.
+    each session gets a Bernoulli(completion_p) task outcome. The draws are
+    made one period at a time, as the rows are consumed: first the period's
+    codes, then its outcomes. Deterministic for a fixed seed.
     """
+    import numpy as np
+
     rng = np.random.default_rng(spec.seed)
-    observations: list[SessionObservation] = []
+    size = spec.sessions_per_period
     for t in range(spec.periods):
-        dist = spec.distribution_for(t)
-        codes = _sample_codes(rng, dist, spec.sessions_per_period)
-        completed = rng.random(spec.sessions_per_period) < spec.completion_p
-        for i in range(spec.sessions_per_period):
-            observations.append(
-                SessionObservation(
-                    session_id=f"{spec.category}-p{t}-s{i}",
-                    category=spec.category,
-                    period=t,
-                    rating=int(codes[i]),
-                    task_completed=bool(completed[i]),
-                )
-            )
-    return Dataset(space=spec.space, observations=tuple(observations))
+        codes = _sample_codes(rng, spec.distribution_for(t), size).tolist()
+        completed = (rng.random(size) < spec.completion_p).tolist()
+        prefix = f"{spec.category}-p{t}-s"
+        yield from zip([f"{prefix}{i}" for i in range(size)],
+                       repeat(spec.category), repeat(t), codes, completed)
+
+
+def gen_ratings(spec: GeneratorSpec) -> Dataset:
+    """The rows of :func:`gen_session_rows` as a :class:`Dataset`."""
+    observations = tuple(SessionObservation(*row) for row in gen_session_rows(spec))
+    return Dataset(space=spec.space, observations=observations)
 
 
 def gen_drift_series(spec: GeneratorSpec) -> UsabilitySeries:
@@ -130,6 +145,8 @@ def gen_drift_series(spec: GeneratorSpec) -> UsabilitySeries:
     u(t) = true_beta0 + true_beta1 * t + noise, clamped to the rating scale
     so no synthetic mean leaves the admissible range.
     """
+    import numpy as np
+
     rng = np.random.default_rng(spec.seed)
     noise = spec.noise_sd * _box_muller(rng, spec.periods)
     lo, hi = float(spec.space.min_code), float(spec.space.max_code)
@@ -146,6 +163,8 @@ def gen_trials(completion_p: float, n_trials: int, seed: int) -> TrialSummary:
         raise ValueError(f"completion_p must lie in [0, 1], got {completion_p}")
     if n_trials < 0:
         raise ValueError(f"trial count must be >= 0, got {n_trials}")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     return TrialSummary(
         completions=int(rng.binomial(n_trials, completion_p)),

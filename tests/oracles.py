@@ -3,11 +3,14 @@
 These deliberately avoid the library's own code paths: the HDI oracle
 minimises interval width over scipy's incomplete beta and its inverse, the
 regression oracle solves the raw normal equations with numpy's linear
-solver, and the entropy oracle is direct summation over known probabilities.
+solver, the entropy oracle is direct summation over known probabilities,
+and the session-CSV oracle renders a whole log at once with the csv module.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -60,3 +63,29 @@ def normal_equations_fit(ts, us) -> tuple[float, float]:
 def entropy_bits_direct(probs) -> float:
     """Direct -sum(p log2 p) over known probabilities."""
     return -sum(p * math.log2(p) for p in probs if p > 0.0)
+
+
+def session_csv(observations) -> str:
+    """A session log in the CSV format, rendered whole.
+
+    Every row goes through one ``csv.writer``; when the text holds a
+    ``\r``, every row is rendered again by a ``\r\n``-terminated writer,
+    which quotes a ``\r`` inside a cell, and its ending is made ``\n``.
+    """
+    def rows():
+        yield ("session_id", "category", "period", "rating", "task_completed")
+        for o in observations:
+            task = {True: "true", False: "false", None: ""}[o.task_completed]
+            yield (o.session_id, o.category, o.period, o.rating, task)
+
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows())
+    text = buffer.getvalue()
+    if "\r" not in text:
+        return text
+    lines = []
+    for row in rows():
+        line = io.StringIO()
+        csv.writer(line, lineterminator="\r\n").writerow(row)
+        lines.append(line.getvalue()[:-2] + "\n")
+    return "".join(lines)

@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from adux.cli import main
+from adux.cli import _specs_from_config_file, main
+from adux.model import Dataset
+from adux.report import emit_sessions
+from adux.synth import category_presets, gen_ratings
+from oracles import session_csv
 
 DATA = Path(__file__).parent / "data"
 
@@ -257,6 +264,92 @@ class TestSimulateCommand:
         config = tmp_path / "spec.json"
         config.write_text(json.dumps({"specs": [{"category": "x"}]}))
         assert main(["simulate", "--config", str(config)]) == 64
+
+    def test_empty_config_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({"specs": []}))
+        assert main(["simulate", "--config", str(config)]) == 64
+        assert "no specs" in capsys.readouterr().err
+
+
+def _merged(specs):
+    datasets = [gen_ratings(spec) for spec in specs]
+    observations = tuple(o for ds in datasets for o in ds.observations)
+    return Dataset(space=datasets[0].space, observations=observations)
+
+
+class TestSimulateStreaming:
+    """`simulate` writes rows as it draws them; the bytes must be those of
+    the whole log rendered at once."""
+
+    def _both_outputs(self, args, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        assert main(args + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        text = out.read_bytes().decode("utf-8")
+        assert captured.out == text
+        return text, captured.err
+
+    def test_presets_match_merged_datasets(self, tmp_path, capsys):
+        text, err = self._both_outputs(
+            ["simulate", "--preset", "all", "--seed", "90210"], tmp_path, capsys)
+        merged = _merged(category_presets(seed=90210))
+        assert text == emit_sessions(merged)
+        assert text == session_csv(merged.observations)
+        assert err == "adux: simulated 1600 sessions (seed 90210)\n"
+
+    def test_awkward_categories_match_merged_datasets(self, tmp_path, capsys):
+        # The first category fills more than one write chunk before a
+        # category holding "\r" appears; the "\r" must still be quoted.
+        names = ["plain", "a,b", 'say "hi"', "car\rriage", "new\nline"]
+        entries = [{"category": name, "probs": [0.1, 0.2, 0.3, 0.2, 0.2],
+                    "periods": 3, "sessions_per_period": 3000 if i == 0 else 7,
+                    "seed": 5 + i}
+                   for i, name in enumerate(names)]
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({"specs": entries}))
+        args = ["simulate", "--config", str(config)]
+        text, _ = self._both_outputs(args, tmp_path, capsys)
+        merged = _merged(_specs_from_config_file(str(config), 42))
+        assert text == emit_sessions(merged)
+        assert text == session_csv(merged.observations)
+        assert '"car\rriage"' in text
+
+    def test_mixed_scales_write_nothing(self, tmp_path, capsys):
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({"specs": [
+            {"category": "five", "probs": [0.2] * 5},
+            {"category": "seven", "probs": [1 / 7] * 7, "scale": "1..7"},
+        ]}))
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 64
+        assert main(["simulate", "--config", str(config)]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "share one scale" in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+
+def test_numpy_is_loaded_only_to_synthesize(tmp_path):
+    log = tmp_path / "sessions.csv"
+    log.write_text(SESSIONS)
+    script = f"""
+import sys
+import adux, adux.cli
+assert adux.cli.main(["report", "--input", {str(log)!r}, "--no-meta"]) == 0
+assert adux.cli.main(["bucs", "--n", "7", "--N", "10"]) == 0
+assert "numpy" not in sys.modules, "numpy loaded"
+assert len(adux.gen_ratings(adux.category_presets()[0])) == 8 * 40
+assert "numpy" in sys.modules
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestPlotdataCommand:

@@ -27,6 +27,7 @@ from adux.report import (
     emit_sessions,
     evaluate,
     load_sessions,
+    open_output,
     report_document,
 )
 
@@ -321,6 +322,23 @@ class TestEmitReport:
             emit_report(report, destination=target)
         assert not target.exists()
         assert list(tmp_path.iterdir()) == []
+
+    def test_failure_inside_open_output_leaves_no_file(self, tmp_path):
+        target = tmp_path / "sessions.csv"
+        with pytest.raises(RuntimeError):
+            with open_output(target) as handle:
+                handle.write("session_id,category,period,rating\n")
+                raise RuntimeError("generator failed mid-stream")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_open_output_replaces_only_when_done(self, tmp_path):
+        target = tmp_path / "sessions.csv"
+        target.write_text("old\n")
+        with open_output(target) as handle:
+            handle.write("new\n")
+            assert target.read_text() == "old\n"
+        assert target.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["sessions.csv"]
 
     def test_write_to_path(self, tmp_path):
         report = evaluate(_five_period_dataset())

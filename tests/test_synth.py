@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+
+from adux import synth
 
 from adux.drift import fit_tdc
 from adux.entropy import iei_by_group
@@ -22,6 +25,7 @@ from adux.synth import (
     discretized_line_distributions,
     gen_drift_series,
     gen_ratings,
+    gen_session_rows,
     gen_trials,
 )
 from oracles import entropy_bits_direct
@@ -120,6 +124,35 @@ class TestGenRatings:
             by_period.setdefault(o.period, []).append(o.rating)
         means = [sum(v) / len(v) for _, v in sorted(by_period.items())]
         assert means[-1] > means[0] + 1.0  # clear upward drift
+
+
+class TestGenSessionRows:
+    def test_draws_codes_then_outcomes_per_period(self):
+        # The stream order is part of the contract: per period, the
+        # period's uniforms for the codes, then those for the outcomes.
+        dists = discretized_line_distributions(five_point(), 2.0, 0.5, 0.8, 3)
+        spec = _spec(true_distribution=dists, periods=3, sessions_per_period=50)
+        rng = np.random.default_rng(spec.seed)
+        expected = []
+        for t in range(3):
+            cum = np.cumsum(dists[t].probs)
+            idx = np.minimum(np.searchsorted(cum, rng.random(50), side="right"), 4)
+            done = rng.random(50) < spec.completion_p
+            expected += [(f"chat-p{t}-s{i}", "chat", t, int(idx[i]) + 1, bool(done[i]))
+                         for i in range(50)]
+        assert list(gen_session_rows(spec)) == expected
+
+    def test_draws_one_period_at_a_time(self, monkeypatch):
+        calls = []
+        sample = synth._sample_codes
+        monkeypatch.setattr(synth, "_sample_codes",
+                            lambda *a: calls.append(a[2]) or sample(*a))
+        rows = gen_session_rows(_spec(periods=4, sessions_per_period=25))
+        next(rows)
+        assert calls == [25]
+        for _ in range(25):
+            next(rows)
+        assert calls == [25, 25]
 
 
 class TestGenDriftSeries:
