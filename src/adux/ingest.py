@@ -1,23 +1,36 @@
 """Session-log ingestion: read a CSV or JSON-lines log in one validating pass.
 
-Each row goes through the one :class:`~adux.model.RowValidator`, in file
-order. :func:`tally_sessions` keeps only the counts every metric needs,
+Every row passes the checks of the one :class:`~adux.model.RowValidator`.
+:func:`tally_sessions` keeps only the counts every metric needs,
 so its memory grows with the distinct (category, period) pairs, not with
 the rows; :func:`load_sessions` makes the same pass into a
 :class:`~adux.model.Dataset` of row objects.
+
+A clean CSV log holds few distinct lines once each line's session id is
+cut off. When its header puts ``session_id`` first, as ``adux simulate``
+writes it, and sessions are pooled, :func:`tally_sessions` therefore
+counts its lines by their text, validates each distinct line once and
+adds it with its count as weight (:func:`_count_distinct_lines`). From the
+first chunk of lines that holds anything else, and for a log whose lines
+rarely repeat, it falls back to the ordered loop, numbering rows as
+before: counts, session order, rejections and strict mode's first error
+are the same either way. JSON lines, mean-of-sessions counts and
+:func:`load_sessions` always take the ordered loop.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from collections.abc import Callable, Iterator
 from datetime import datetime, timezone
-from operator import itemgetter
+from itertools import chain, islice
+from operator import itemgetter, methodcaller
 from pathlib import Path
 from typing import Any, IO
 
-from .errors import IoFailure, MalformedRow, UnknownFormat
+from .errors import AduxError, IoFailure, MalformedRow, UnknownFormat
 from .model import (
     POOLED,
     Dataset,
@@ -67,14 +80,124 @@ _FIELDS = ("session_id", "category", "period", "rating", "task_completed", "time
 _RawRecord = tuple[int, "tuple[Any, ...] | str"]
 
 
-def _csv_records(handle: IO[str]) -> Iterator[_RawRecord]:
+# The distinct-line count reads about this many characters of whole lines
+# at a time, taking at most _STEP_LINES lines from the handle per call so
+# that a sudden run of long lines overshoots by little. It hands off once
+# it holds more than _MAX_KEYS distinct lines, so its memory stays bounded.
+_CHUNK_CHARS = 16_384
+_STEP_LINES = 64
+_MAX_KEYS = 4096
+# Stands in for the session id that the count cuts off each line; lines
+# whose session id is empty never reach the count.
+_ANY_SESSION = "-"
+
+
+def _read_chunk(handle: IO[str], lines: list[str]) -> None:
+    """Extend ``lines`` with whole lines of ``handle``, up to about
+    _CHUNK_CHARS characters.
+
+    The lines are taken one by one, as the ordered loop takes them, so if
+    the handle's bytes fail to decode, ``lines`` holds every line that
+    the ordered loop would have read before the error.
+    """
+    chars = 0
+    while chars < _CHUNK_CHARS:
+        n = len(lines)
+        lines.extend(islice(handle, _STEP_LINES))
+        if len(lines) == n:
+            return
+        chars += sum(map(len, lines[n:]))
+
+
+def _raising(exc: Exception) -> Iterator[str]:
+    """Lines that end in ``exc``: a decoding error met while counting,
+    which the ordered loop meets where it would have met it."""
+    raise exc
+    yield
+
+
+def _count_distinct_lines(
+    handle: IO[str], width: int, pick: Callable[[list], tuple], counts: SessionCounts
+) -> tuple[int, Iterator[str]]:
+    """Count the CSV lines after the header by their text, up to the first
+    chunk that needs the ordered loop; return how many lines were counted
+    and the lines that the ordered loop reads next.
+
+    A line's key is its text after the first comma, and the counting runs
+    in C. Each key is parsed and validated when first seen, and added to
+    ``counts`` once, weighted by its count, in first-seen order. A chunk
+    hands off, uncounted, when it holds a quote, a carriage return or a
+    NUL (csv refuses it before Python 3.11), a line that starts with ``,``
+    (an empty session id) or is longer than the CSV field limit, or a new
+    key that is blank, of the wrong width, unreadable or invalid (a row to
+    bucket by its timestamp has no period). It also hands off when it
+    brings the distinct keys over _MAX_KEYS, as a log whose lines rarely
+    repeat gains nothing. A chunk cut short by bytes that are not UTF-8
+    hands off too, and the decoding error follows its lines.
+    """
+    probe = RowValidator(counts.space)  # strict: an invalid key raises
+    rows: dict[str, tuple[str, str, int, int, bool | None]] = {}
+
+    def valid(key: str) -> bool:
+        try:
+            row = next(csv.reader((key,)))
+            if len(row) != width - 1:
+                return False
+            session_id, category, period, rating, task, _ = pick([_ANY_SESSION, *row, None])
+            rows[key] = probe.check(0, session_id, category, period, rating, task)
+        except (csv.Error, AduxError):
+            return False
+        return True
+
+    def keys(lines: list[str]) -> Iterator[str]:
+        return map(itemgetter(2), map(tail, lines))
+
+    tail = methodcaller("partition", ",")
+    seen: Counter[str] = Counter()
+    read = 0
+    limit = csv.field_size_limit()
+    rest: Iterator[str] = handle
+    while True:
+        lines: list[str] = []
+        try:
+            _read_chunk(handle, lines)
+        except UnicodeDecodeError as exc:
+            rest = _raising(exc)
+            break
+        if not lines:
+            break
+        text = "".join(lines)
+        if ('"' in text or "\r" in text or "\0" in text or text[0] == "," or "\n," in text
+                or (len(text) > limit and max(map(len, lines)) > limit)):
+            break
+        known = len(seen)
+        seen.update(keys(lines))
+        fresh = list(islice(reversed(seen), len(seen) - known))
+        if len(seen) > _MAX_KEYS or not all(map(valid, reversed(fresh))):
+            seen.subtract(keys(lines))
+            for key in fresh:
+                del seen[key]
+            break
+        read += len(lines)
+    for key, n in seen.items():
+        counts.add(*rows[key], n)
+    return read, chain(lines, rest)
+
+
+def _csv_records(handle: IO[str], counts: SessionCounts | None = None) -> Iterator[_RawRecord]:
     """CSV rows by header position, read the way ``csv.DictReader`` reads them.
 
     Blank records are skipped, a short record reads its missing cells as
     None, a repeated column name means its last column, and a row is
     numbered by the reader's line count at its end.
+
+    Given pooled ``counts``, and a header whose first column is
+    ``session_id``, the lines are first counted into ``counts`` by
+    :func:`_count_distinct_lines`; only the lines that count leaves are
+    yielded, numbered as they would be without it.
     """
     reader = csv.reader(handle)
+    counted = 0
     try:
         header = next(reader, None)
         if header is None:
@@ -88,6 +211,10 @@ def _csv_records(handle: IO[str]) -> Iterator[_RawRecord]:
         column = {name: i for i, name in enumerate(header)}
         # An absent field reads the None appended after the last cell.
         pick = itemgetter(*(column.get(name, width) for name in _FIELDS))
+        if counts is not None and not counts.per_session and column["session_id"] == 0:
+            counted, rest = _count_distinct_lines(handle, width, pick, counts)
+            counted += reader.line_num
+            reader = csv.reader(rest)
         for row in reader:
             if len(row) == width:
                 row.append(None)
@@ -97,9 +224,9 @@ def _csv_records(handle: IO[str]) -> Iterator[_RawRecord]:
                 # Short records pad with None; long ones drop the extra cells,
                 # which DictReader files under its restkey, never a field.
                 row = row[:width] + [None] * max(1, width + 1 - len(row))
-            yield reader.line_num, pick(row)
+            yield counted + reader.line_num, pick(row)
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        raise MalformedRow(f"line {reader.line_num}: unreadable CSV: {exc}") from None
+        raise MalformedRow(f"line {counted + reader.line_num}: unreadable CSV: {exc}") from None
 
 
 def _jsonl_records(handle: IO[str]) -> Iterator[_RawRecord]:
@@ -129,8 +256,12 @@ def _scan(
     validator: RowValidator,
     window: str,
     keep: Callable[[str, str, int, int, bool | None], None],
+    counts: SessionCounts | None = None,
 ) -> int | None:
     """Validate each row in file order and pass the valid ones to ``keep``.
+
+    Given ``counts``, which ``keep`` adds to, a CSV log may be counted by
+    its distinct lines first (:func:`_count_distinct_lines`).
 
     A row whose period is empty takes it from its timestamp, bucketed into
     UTC calendar windows. Such periods count from the earliest valid
@@ -138,7 +269,7 @@ def _scan(
     gets ``~w`` (that is, ``-1 - w``) for window ordinal w; no valid
     explicit period is negative. Returns the earliest ordinal, or None.
     """
-    records = _csv_records(handle) if fmt == FORMAT_CSV else _jsonl_records(handle)
+    records = _csv_records(handle, counts) if fmt == FORMAT_CSV else _jsonl_records(handle)
     origin = None
     for number, values in records:
         if values.__class__ is str:
@@ -182,11 +313,13 @@ def _ingest(
     strictness: str,
     window: str,
     keep: Callable[[str, str, int, int, bool | None], None],
+    counts: SessionCounts | None = None,
 ) -> tuple[tuple[Rejection, ...], Callable[[int], int]]:
     """One validating pass over a session log; see :func:`load_sessions`.
 
     Returns the rejections and the map from the periods given to ``keep``
-    to the rows' periods.
+    to the rows' periods. ``counts`` is what ``keep`` adds to, if it is
+    :meth:`SessionCounts.add`; it lets a CSV log be counted by its lines.
     """
     fmt_key = _FORMAT_ALIASES.get(fmt)
     if fmt_key is None:
@@ -194,10 +327,10 @@ def _ingest(
     validator = RowValidator(space, strictness)
     try:
         if hasattr(source, "read"):
-            origin = _scan(source, fmt_key, validator, window, keep)
+            origin = _scan(source, fmt_key, validator, window, keep, counts)
         else:
             with open(source, "r", encoding="utf-8", newline="") as handle:
-                origin = _scan(handle, fmt_key, validator, window, keep)
+                origin = _scan(handle, fmt_key, validator, window, keep, counts)
     except OSError as exc:
         raise IoFailure(f"cannot read {source}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -261,7 +394,9 @@ def tally_sessions(
     counts = SessionCounts.for_aggregation(
         space if space is not None else five_point(), aggregation
     )
-    rejections, period_of = _ingest(source, fmt, counts.space, strictness, window, counts.add)
+    rejections, period_of = _ingest(
+        source, fmt, counts.space, strictness, window, counts.add, counts
+    )
     if any(p < 0 for _, p in counts.levels):
         counts = counts.with_periods(period_of)
     return counts, rejections

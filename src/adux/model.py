@@ -216,27 +216,34 @@ class SessionCounts:
         period: int,
         rating: int,
         task_completed: bool | None,
+        n: int = 1,
     ) -> None:
-        """Count one validated row."""
+        """Count one validated row, or ``n`` identical ones.
+
+        Adding a row with weight n is the same as adding it n times in a
+        row: :func:`~adux.ingest.tally_sessions` counts the distinct lines
+        of a clean CSV log and adds each once, with its count as weight.
+        """
         i = self._index[rating]
         key = (category, period)
         counts = self.levels.get(key)
         if counts is None:
             counts = self.levels[key] = [0] * len(self._index)
-        counts[i] += 1
+        counts[i] += n
         if task_completed is not None:
             outcomes = self.trials.get(category)
             if outcomes is None:
                 outcomes = self.trials[category] = [0, 0]
-            outcomes[0] += task_completed
-            outcomes[1] += 1
+            if task_completed:
+                outcomes[0] += n
+            outcomes[1] += n
         if self.per_session:
             session_key = (category, period, session_id)
             counts = self.sessions.get(session_key)
             if counts is None:
                 counts = self.sessions[session_key] = [0] * len(self._index)
-            counts[i] += 1
-        self.rows += 1
+            counts[i] += n
+        self.rows += n
 
     def __len__(self) -> int:
         return self.rows
@@ -412,9 +419,10 @@ class RowValidator:
     """Checks raw rows one at a time and keeps the log of rejected ones.
 
     A row's checks run in a fixed order: missing session_id, missing
-    category, then those of :func:`_parse_fields`. In ``strict`` mode the
-    first invalid row raises its error, prefixed with the row number; in
-    ``skip-invalid`` mode it is recorded in ``rejections`` and dropped.
+    category, a category that is not UTF-8 text, then those of
+    :func:`_parse_fields`. In ``strict`` mode the first invalid row raises
+    its error, prefixed with the row number; in ``skip-invalid`` mode it is
+    recorded in ``rejections`` and dropped.
 
     The outcome of the (period, rating, task_completed) checks is memoised
     per distinct triple of raw values, since a log repeats few of them. The
@@ -449,8 +457,16 @@ class RowValidator:
         """The parsed row, or None when it was rejected."""
         if session_id is None or str(session_id) == "":
             return self.reject(row, MalformedRow("missing session_id"))
-        if category is None or str(category) == "":
+        category = "" if category is None else str(category)
+        if category == "":
             return self.reject(row, MalformedRow("missing category"))
+        if not category.isascii():
+            try:
+                category.encode("utf-8")
+            except UnicodeEncodeError:
+                # A lone surrogate, from a JSON escape such as "\ud800" or a
+                # byte read with surrogateescape, which no report can write.
+                return self.reject(row, MalformedRow(f"category {category!r} is not UTF-8 text"))
         key = (period, rating, task_completed,
                period.__class__, rating.__class__, task_completed.__class__)
         try:
@@ -463,7 +479,7 @@ class RowValidator:
             parsed = _parse_fields(self.space, period, rating, task_completed)
         if parsed.__class__ is not tuple:
             return self.reject(row, parsed)
-        return (str(session_id), str(category)) + parsed
+        return (str(session_id), category) + parsed
 
 
 def validate_dataset(

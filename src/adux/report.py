@@ -21,7 +21,6 @@ run never leaves a partially written output behind.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import os
@@ -34,6 +33,16 @@ from itertools import islice
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, IO
+
+try:
+    # hashlib loads OpenSSL, several MB of memory for one short digest;
+    # the built-in module computes the same sha256 without it.
+    from _sha256 import sha256  # Python 3.10-3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        from hashlib import sha256
 
 from .bayes import BetaParams, BucsResult, TrialSummary, bucs, hdi, posterior, wald_ci
 from .drift import MIN_POINTS, TdcFit, UsabilitySeries, fit_tdc, series_from_dataset
@@ -130,7 +139,7 @@ class EvalConfig:
             },
             sort_keys=True,
         )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
+        return sha256(payload.encode("utf-8")).hexdigest()[:12]
 
 
 @dataclass(frozen=True)

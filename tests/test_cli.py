@@ -352,6 +352,24 @@ assert "numpy" in sys.modules
     assert proc.returncode == 0, proc.stderr
 
 
+def test_report_loads_no_openssl(tmp_path):
+    log = tmp_path / "sessions.csv"
+    log.write_text(SESSIONS)
+    script = f"""
+import sys
+import adux, adux.cli
+assert adux.cli.main(["report", "--input", {str(log)!r}]) == 0
+assert "_hashlib" not in sys.modules, "hashlib's OpenSSL module loaded"
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "adux: config digest " in proc.stderr
+
+
 class TestPlotdataCommand:
     def test_fig3_defaults(self, capsys):
         assert main(["plotdata", "--figure", "fig3", "--p-hat", "0.7"]) == 0

@@ -13,14 +13,16 @@ import io
 import json
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from adux import ingest
 from adux.cli import main
 from adux.entropy import MEAN_OF_SESSIONS, POOLED, iei_by_group
 from adux.errors import AduxError
 from adux.ingest import _FIELDS, _csv_records, load_sessions, tally_sessions
 from adux.model import (
     Dataset,
+    RowValidator,
     SKIP_INVALID,
     STRICT,
     SessionCounts,
@@ -242,3 +244,197 @@ def test_report_builds_no_row_objects(tmp_path, monkeypatch, capsys):
     assert made == []
     load_sessions(path)  # the row-object path, to show the count works
     assert len(made) == 6
+
+
+# Clean logs in the layout `adux simulate` writes: session_id first, over a
+# few distinct rows, so `tally_sessions` counts their distinct lines. Each
+# takes at most one fault, which must hand the log to the ordered loop.
+CLEAN_CELLS = {
+    "category": ["a", "b", "chat bot"],
+    "period": ["0", "1", "7"],
+    "rating": ["1", "3", "5"],
+    "task_completed": ["true", "false", ""],
+    "timestamp": ["", "2024-03-01T10:00:00Z"],
+}
+FAULTS = ["bad rating", "empty session id", "blank line", "quoted field", "crlf ending",
+          "short record", "long record", "bucketed by timestamp", "surrogate category",
+          "carriage return in a session id", "quoted session id holding a comma"]
+
+
+@st.composite
+def clean_csv_logs(draw, faults=FAULTS):
+    """A clean log, as (text, number of data lines, the fault or None)."""
+    header = ["session_id", *draw(st.permutations(
+        ["category", "period", "rating", *draw(st.lists(
+            st.sampled_from(["task_completed", "timestamp"]), unique=True))]))]
+    distinct = draw(st.lists(st.tuples(*(st.sampled_from(CLEAN_CELLS[name])
+                                         for name in header[1:])),
+                             min_size=1, max_size=4, unique=True))
+    rows = [[draw(st.sampled_from(["s1", "s2", "s3"])), *draw(st.sampled_from(distinct))]
+            for _ in range(draw(st.integers(1, 60)))]
+    lines = [",".join(row) + "\n" for row in rows]
+    fault = draw(st.sampled_from([None, *faults]))
+    if fault is not None:
+        at = draw(st.integers(0, len(rows) - 1))
+        row = rows[at]
+        if fault == "bad rating":
+            row[header.index("rating")] = "9"
+        elif fault == "empty session id":
+            row[0] = ""
+        elif fault == "quoted field":
+            row[1] = f'"{row[1]}"'
+        elif fault == "short record":
+            row.pop()
+        elif fault == "long record":
+            row.append("extra")
+        elif fault == "bucketed by timestamp":
+            row[header.index("period")] = ""
+            if "timestamp" in header:
+                row[header.index("timestamp")] = "2024-03-02T10:00:00Z"
+        elif fault == "surrogate category":
+            row[header.index("category")] = "a\udcff"
+        elif fault == "carriage return in a session id":
+            row[0] = "s\r1"
+        elif fault == "quoted session id holding a comma":
+            # The quote takes in the next cell, so the record is short.
+            row[:2] = [f'"{row[0]},{row[1]}"']
+        lines[at] = ",".join(row) + ("\r\n" if fault == "crlf ending" else "\n")
+        if fault == "blank line":
+            lines.insert(at, "\n")
+    return ",".join(header) + "\n" + "".join(lines), len(lines), fault
+
+
+class _Spy:
+    """Counts `RowValidator.check` calls and what the distinct-line count read."""
+
+    def __init__(self, patch):
+        self.checks = 0
+        self.counted = []
+        check, count = RowValidator.check, ingest._count_distinct_lines
+
+        def counting_check(validator, *args):
+            self.checks += 1
+            return check(validator, *args)
+
+        def counting_count(*args):
+            read, rest = count(*args)
+            self.counted.append(read)
+            return read, rest
+
+        patch.setattr(RowValidator, "check", counting_check)
+        patch.setattr(ingest, "_count_distinct_lines", counting_count)
+
+
+class TestDistinctLineCount:
+    """`tally_sessions` counts a clean CSV log by its distinct lines; any
+    fault hands it to the ordered loop, with the same outcome either way."""
+
+    @given(log=clean_csv_logs(), aggregation=aggregations, chunk=st.sampled_from([1, 40, 200]),
+           strictness=st.sampled_from([STRICT, SKIP_INVALID]), from_path=st.booleans())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    # Two faults that a pooled count, which never parses the session id,
+    # would read as a valid row: csv refuses the first, and reads the
+    # second as a short record.
+    @example(log=("session_id,category,period,rating\ns1,a,0,4\ns\r1,a,0,4\n", 2,
+                  "carriage return in a session id"),
+             aggregation=POOLED, chunk=200, strictness=SKIP_INVALID, from_path=False)
+    @example(log=('session_id,category,period,rating\ns1,a,0,4\n"s2,a",0,4\n', 2,
+                  "quoted session id holding a comma"),
+             aggregation=POOLED, chunk=200, strictness=SKIP_INVALID, from_path=False)
+    def test_same_outcome_as_the_ordered_loop(self, tmp_path, monkeypatch, log, aggregation,
+                                              chunk, strictness, from_path):
+        text, _, fault = log
+        if from_path:
+            path = tmp_path / "log.csv"
+            # A surrogate category reaches a file as the byte it escapes.
+            path.write_bytes(text.encode("utf-8", "surrogateescape"))
+            open_log = lambda: path  # noqa: E731
+        else:
+            open_log = lambda: io.StringIO(text)  # noqa: E731
+
+        def load():
+            loaded = load_sessions(open_log(), strictness=strictness)
+            return loaded.dataset.counts(aggregation), loaded.rejections
+
+        expected = _outcome(load)
+        with monkeypatch.context() as patch:
+            patch.setattr(ingest, "_CHUNK_CHARS", chunk)
+            patch.setattr(ingest, "_STEP_LINES", 1)
+            got = _outcome(lambda: tally_sessions(open_log(), strictness=strictness,
+                                                  aggregation=aggregation))
+        if isinstance(expected[0], SessionCounts):
+            assert _same_counts(got[0], expected[0])
+            assert [(r.row, r.reason, r.detail) for r in got[1]] == [
+                (r.row, r.reason, r.detail) for r in expected[1]]
+        else:
+            assert got == expected
+        if fault is None:
+            assert isinstance(expected[0], SessionCounts) and expected[1] == ()
+
+    @given(log=clean_csv_logs(faults=[]), aggregation=aggregations,
+           chunk=st.sampled_from([1, 40, 200]))
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_clean_logs_are_counted_by_distinct_lines(self, monkeypatch, log, aggregation,
+                                                      chunk):
+        text, lines, _ = log
+        with monkeypatch.context() as patch:
+            patch.setattr(ingest, "_CHUNK_CHARS", chunk)
+            patch.setattr(ingest, "_STEP_LINES", 1)
+            spy = _Spy(patch)
+            counts, _ = tally_sessions(io.StringIO(text), aggregation=aggregation)
+        distinct = set(text.splitlines()[1:])
+        # Sessions are counted one by one only in the ordered loop.
+        assert spy.counted == ([lines] if aggregation == POOLED else [])
+        if aggregation == POOLED:
+            assert spy.checks <= len(distinct)
+        assert len(counts) == lines
+
+    @pytest.mark.parametrize("repeats", [1, 3])
+    def test_a_log_of_many_distinct_lines_hands_off(self, monkeypatch, repeats):
+        # Unique timestamps make the lines distinct; each repeated in a row,
+        # they still hold more distinct keys than the count keeps.
+        text = "session_id,category,period,rating,timestamp\n" + "".join(
+            f"s{i % 3},chat,{i % 4},{1 + i % 5},2024-03-01T10:{i // 60:02d}:{i % 60:02d}Z\n"
+            for i in range(120) for _ in range(repeats))
+        monkeypatch.setattr(ingest, "_CHUNK_CHARS", 200)
+        monkeypatch.setattr(ingest, "_STEP_LINES", 1)
+        monkeypatch.setattr(ingest, "_MAX_KEYS", 16)
+        spy = _Spy(monkeypatch)
+        counts, _ = tally_sessions(io.StringIO(text))
+        assert spy.counted[0] <= 16 * repeats
+        assert _same_counts(counts, load_sessions(io.StringIO(text)).dataset.counts())
+
+    @pytest.mark.parametrize("header", ["category,session_id,period,rating",
+                                        "session_id,category,period,rating,session_id"])
+    def test_a_header_without_session_id_first_is_read_in_order(self, monkeypatch, header):
+        # A repeated column name means its last column.
+        text = header + "\n" + "chat,s1,0,4,s1\n" * 3 + "mail,s2,1,5,s2\n"
+        spy = _Spy(monkeypatch)
+        counts, _ = tally_sessions(io.StringIO(text))
+        assert spy.counted == []
+        assert _same_counts(counts, load_sessions(io.StringIO(text)).dataset.counts())
+
+    def test_a_late_fault_keeps_its_row_number(self):
+        lines = [f"s{i},chat,{i % 3},{1 + i % 5},true\n" for i in range(5000)]
+        lines[4000] = "s4000,chat,1,9,true\n"
+        text = "session_id,category,period,rating,task_completed\n" + "".join(lines)
+        with pytest.raises(AduxError, match="^row 4002: rating code 9 not in"):
+            tally_sessions(io.StringIO(text))
+        counts, rejections = tally_sessions(io.StringIO(text), strictness=SKIP_INVALID)
+        assert [(r.row, r.reason) for r in rejections] == [(4002, "unknown-rating")]
+        assert _same_counts(counts, load_sessions(
+            io.StringIO(text), strictness=SKIP_INVALID).dataset.counts())
+
+    @given(st.lists(st.tuples(st.sampled_from("ab"), st.integers(0, 3), st.integers(1, 5),
+                              st.sampled_from([True, False, None]), st.integers(1, 4)),
+                    max_size=12), aggregations)
+    def test_a_weighted_add_is_that_many_adds(self, rows, aggregation):
+        weighted = SessionCounts.for_aggregation(five_point(), aggregation)
+        repeated = SessionCounts.for_aggregation(five_point(), aggregation)
+        for category, period, rating, task, n in rows:
+            weighted.add("s", category, period, rating, task, n)
+            for _ in range(n):
+                repeated.add("s", category, period, rating, task)
+        assert _same_counts(weighted, repeated)
