@@ -45,7 +45,7 @@ _LEVEL_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class BetaParams:
-    """Shape parameters of a Beta distribution; both strictly positive."""
+    """Shape parameters of a Beta distribution; both positive and finite."""
 
     alpha: float
     beta: float
@@ -55,6 +55,8 @@ class BetaParams:
             raise ValueError(
                 f"Beta parameters must be positive, got ({self.alpha}, {self.beta})"
             )
+        if not (self.alpha < math.inf and self.beta < math.inf):  # NaN fails this too
+            raise ValueError(f"Beta parameters must be finite, got ({self.alpha}, {self.beta})")
 
     def mean(self) -> float:
         return self.alpha / (self.alpha + self.beta)

@@ -35,7 +35,11 @@ from .report import (
     evaluate,
     open_output,
     write_sessions,
-    _num,
+    _bucs_fields,
+    _iei_fields,
+    _json_text,
+    _tdc_fields,
+    _write_text,
 )
 # Nor are these: `simulate` streams its rows through write_sessions.
 from .report import emit_sessions  # noqa: F401
@@ -78,10 +82,9 @@ def _scale_arg(text: str) -> tuple[int, int]:
 def _prior_arg(text: str) -> BetaParams:
     try:
         a_text, b_text = text.split(",", 1)
-        params = BetaParams(float(a_text), float(b_text))
+        return BetaParams(float(a_text), float(b_text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad prior {text!r}: {exc}") from None
-    return params
 
 
 def _mass_arg(text: str) -> float:
@@ -96,12 +99,9 @@ def _mass_arg(text: str) -> float:
 
 def _int_list_arg(text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(v) for v in text.split(","))
+        return tuple(int(v) for v in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError("empty integer list")
-    return values
 
 
 def _probs_arg(text: str) -> tuple[float, ...]:
@@ -160,12 +160,7 @@ def _tally(args: argparse.Namespace, aggregation: str = POOLED):
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
-    with open_output(args.out or sys.stdout) as handle:
-        handle.write(text)
-
-
-def _json_text(doc: dict[str, Any]) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    _write_text(text, args.out or sys.stdout)
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +173,11 @@ def _cmd_iei(args: argparse.Namespace) -> int:
     grouped = iei_by_group(counts, grouping=grouping, aggregation=args.aggregation)
     rows = []
     for key, entry in grouped.results:
-        row: dict[str, Any] = (
+        group = (
             {"category": key} if isinstance(key, str)
             else {"category": key[0], "period": key[1]}
         )
-        row.update(bits=_num(entry.value), normalized=_num(entry.normalized),
-                   n=entry.n_ratings)
-        rows.append(row)
+        rows.append({**group, **_iei_fields(entry)})
     _emit(args, _json_text({"groups": rows, "rejected": len(rejections)}))
     return EXIT_OK
 
@@ -195,17 +188,8 @@ def _cmd_tdc(args: argparse.Namespace) -> int:
     for category in counts.categories():
         series = series_from_dataset(counts, category)
         fit = fit_tdc(series)
-        rows.append({
-            "category": category,
-            "beta0": _num(fit.beta0),
-            "beta1": _num(fit.beta1),
-            "stderr": _num(fit.stderr_beta1),
-            "ci95": [_num(fit.ci95_beta1[0]), _num(fit.ci95_beta1[1])],
-            "residual_sd": _num(fit.residual_sd),
-            "r2": _num(fit.r_squared),
-            "n_points": fit.n_points,
-            "drift": classify_drift(fit).value,
-        })
+        rows.append({"category": category, **_tdc_fields(fit),
+                     "drift": classify_drift(fit).value})
     _emit(args, _json_text({"categories": rows, "rejected": len(rejections)}))
     return EXIT_OK
 
@@ -219,23 +203,8 @@ def _cmd_bucs(args: argparse.Namespace) -> int:
         raise _UsageError(f"--n ({args.n}) cannot exceed --N ({args.N})")
     trials = TrialSummary(completions=args.n, trials=args.N)
     result = bucs(args.prior, trials, args.mass)
-    doc: dict[str, Any] = {
-        "posterior": {"alpha": _num(result.posterior.alpha),
-                      "beta": _num(result.posterior.beta)},
-        "interval": {
-            "lower": _num(result.interval.lower),
-            "upper": _num(result.interval.upper),
-            "mass": _num(result.interval.mass),
-            "kind": result.interval.kind.value,
-            "unique": result.interval.unique,
-        },
-        "mean": _num(result.mean),
-        "mode": None if result.mode is None else _num(result.mode),
-    }
-    if args.N >= 1:
-        wald = wald_ci(trials, args.mass)
-        doc["wald"] = {"lower": _num(wald.lower), "upper": _num(wald.upper)}
-    _emit(args, _json_text(doc))
+    wald = wald_ci(trials, args.mass) if args.N >= 1 else None
+    _emit(args, _json_text(_bucs_fields(result, with_mode=True, wald=wald)))
     return EXIT_OK
 
 
@@ -249,66 +218,64 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# The simulate flags' defaults, and a config entry's for the keys it leaves
+# out; the keys are the flags' argparse dests.
+_SPEC_DEFAULTS: dict[str, Any] = {
+    "scale": (1, 5), "beta0": 3.0, "beta1": 0.0, "noise_sd": 0.0,
+    "completion_p": 0.8, "periods": 8, "sessions_per_period": 40,
+}
+
+
+def _spec(fields: dict[str, Any], seed: int) -> GeneratorSpec:
+    """One generator spec from simulate flags or a config entry."""
+    fields = {**_SPEC_DEFAULTS, **fields}
+    space = ResponseSpace.from_range(*fields["scale"])
+    return GeneratorSpec(
+        category=fields["category"],
+        true_distribution=DiscreteDistribution(space=space, probs=tuple(fields["probs"])),
+        true_beta0=float(fields["beta0"]),
+        true_beta1=float(fields["beta1"]),
+        noise_sd=float(fields["noise_sd"]),
+        completion_p=float(fields["completion_p"]),
+        periods=int(fields["periods"]),
+        sessions_per_period=int(fields["sessions_per_period"]),
+        seed=int(seed),
+    )
+
+
 def _specs_from_config_file(path: str, default_seed: int) -> list[GeneratorSpec]:
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     entries = payload if isinstance(payload, list) else payload.get("specs", [payload])
     specs = []
     for i, entry in enumerate(entries):
-        lo, hi = _scale_arg(entry.get("scale", "1..5"))
-        space = ResponseSpace.from_range(lo, hi)
-        specs.append(GeneratorSpec(
-            category=entry["category"],
-            true_distribution=DiscreteDistribution(
-                space=space, probs=tuple(entry["probs"])),
-            true_beta0=float(entry.get("beta0", 3.0)),
-            true_beta1=float(entry.get("beta1", 0.0)),
-            noise_sd=float(entry.get("noise_sd", 0.0)),
-            completion_p=float(entry.get("completion_p", 0.8)),
-            periods=int(entry.get("periods", 8)),
-            sessions_per_period=int(entry.get("sessions_per_period", 40)),
-            seed=int(entry.get("seed", default_seed + i)),
-        ))
+        if "scale" in entry:
+            entry = {**entry, "scale": _scale_arg(entry["scale"])}
+        specs.append(_spec(entry, entry.get("seed", default_seed + i)))
     return specs
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
-    if args.config:
-        try:
+    try:
+        if args.config:
             specs = _specs_from_config_file(args.config, seed)
-        except (KeyError, TypeError, ValueError, argparse.ArgumentTypeError) as exc:
-            raise _UsageError(f"bad simulate config {args.config}: {exc}") from None
-    elif args.preset:
-        presets = category_presets(seed=seed, periods=args.periods,
-                                   sessions_per_period=args.sessions_per_period)
-        if args.preset == "all":
-            specs = list(presets)
-        else:
-            specs = [s for s in presets if s.category == args.preset]
+        elif args.preset:
+            presets = category_presets(seed=seed, periods=args.periods,
+                                       sessions_per_period=args.sessions_per_period)
+            specs = [s for s in presets if args.preset in ("all", s.category)]
             if not specs:
                 names = ", ".join(s.category for s in presets)
                 raise _UsageError(f"unknown preset {args.preset!r} (have: {names}, all)")
-    else:
-        if not args.category or args.probs is None:
+        elif not args.category or args.probs is None:
             raise _UsageError("simulate needs --category and --probs "
                               "(or --preset / --config)")
-        space = ResponseSpace.from_range(*args.scale)
-        try:
-            dist = DiscreteDistribution(space=space, probs=args.probs)
-            specs = [GeneratorSpec(
-                category=args.category,
-                true_distribution=dist,
-                true_beta0=args.beta0,
-                true_beta1=args.beta1,
-                noise_sd=args.noise_sd,
-                completion_p=args.completion_p,
-                periods=args.periods,
-                sessions_per_period=args.sessions_per_period,
-                seed=seed,
-            )]
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
+        else:
+            specs = [_spec(vars(args), seed)]
+    except (KeyError, TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+        # A config entry can also miss a key or give a value of the wrong type.
+        prefix = f"bad simulate config {args.config}: " if args.config else ""
+        raise _UsageError(f"{prefix}{exc}") from None
 
     if not specs:
         raise _UsageError("simulate config holds no specs")
@@ -333,8 +300,11 @@ def _cmd_plotdata(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.p_hat is None:
         raise _UsageError("fig3 needs --p-hat (and optionally --N-list)")
-    spec = Fig3Spec(p_hat=args.p_hat, trial_counts=args.N_list,
-                    prior=args.prior, mass=args.mass)
+    try:
+        spec = Fig3Spec(p_hat=args.p_hat, trial_counts=args.N_list,
+                        prior=args.prior, mass=args.mass)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     _emit(args, emit_plot_data(spec, "fig3"))
     return EXIT_OK
 
@@ -387,19 +357,19 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--category", help="category label for flag-driven specs")
     p_sim.add_argument("--probs", type=_probs_arg, metavar="P1,P2,...",
                        help="true rating distribution")
-    p_sim.add_argument("--beta0", type=float, default=3.0)
-    p_sim.add_argument("--beta1", type=float, default=0.0)
-    p_sim.add_argument("--noise-sd", type=float, default=0.0)
-    p_sim.add_argument("--completion-p", type=float, default=0.8)
-    p_sim.add_argument("--periods", type=int, default=8)
-    p_sim.add_argument("--sessions-per-period", type=int, default=40)
-    p_sim.add_argument("--scale", type=_scale_arg, default=(1, 5), metavar="LO..HI")
+    p_sim.add_argument("--beta0", type=float)
+    p_sim.add_argument("--beta1", type=float)
+    p_sim.add_argument("--noise-sd", type=float)
+    p_sim.add_argument("--completion-p", type=float)
+    p_sim.add_argument("--periods", type=int)
+    p_sim.add_argument("--sessions-per-period", type=int)
+    p_sim.add_argument("--scale", type=_scale_arg, metavar="LO..HI")
     p_sim.add_argument("--preset", help="use a shipped category preset, or 'all'")
     p_sim.add_argument("--config", help="JSON file with one spec or {'specs': [...]}")
     p_sim.add_argument("--seed", type=int, default=None,
                        help="PRNG seed (default: $ADUX_SEED or 42)")
     _add_out_option(p_sim)
-    p_sim.set_defaults(func=_cmd_simulate)
+    p_sim.set_defaults(func=_cmd_simulate, **_SPEC_DEFAULTS)
 
     p_plot = sub.add_parser("plotdata", help="CSV tables behind the standard figures")
     p_plot.add_argument("--figure", choices=("fig1", "fig2", "fig3"), required=True)

@@ -44,7 +44,8 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .bayes import BetaParams, BucsResult, TrialSummary, bucs, hdi, posterior, wald_ci
+from .bayes import BetaParams, BucsResult, CredibleInterval, TrialSummary
+from .bayes import bucs, hdi, posterior, wald_ci
 from .drift import MIN_POINTS, TdcFit, UsabilitySeries, fit_tdc, series_from_dataset
 from .entropy import EntropyBits, POOLED, PER_CATEGORY, iei_by_group
 from .errors import EmptyDataset, IoFailure, MissingInput, UnknownFormat
@@ -110,11 +111,7 @@ def emit_sessions(
     :func:`load_sessions`)."""
     buffer = io.StringIO()
     write_sessions(map(_row_of, dataset.observations), buffer)
-    text = buffer.getvalue()
-    if destination is not None:
-        with open_output(destination) as handle:
-            handle.write(text)
-    return text
+    return _write_text(buffer.getvalue(), destination)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +248,57 @@ def _num(x: float) -> float | int:
     return rounded + 0.0  # normalizes -0.0 to 0.0
 
 
+# One field function per result type: every output that prints a result
+# (the JSON and CSV reports, plot data, `adux iei`, `tdc` and `bucs`) takes
+# its fields, their order and their rounding from these.
+
+
+def _iei_fields(entropy: EntropyBits) -> dict[str, Any]:
+    return {
+        "bits": _num(entropy.value),
+        "normalized": _num(entropy.normalized),
+        "n": entropy.n_ratings,
+    }
+
+
+def _tdc_fields(fit: TdcFit) -> dict[str, Any]:
+    return {
+        "beta0": _num(fit.beta0),
+        "beta1": _num(fit.beta1),
+        "stderr": _num(fit.stderr_beta1),
+        "ci95": [_num(fit.ci95_beta1[0]), _num(fit.ci95_beta1[1])],
+        "residual_sd": _num(fit.residual_sd),
+        "r2": _num(fit.r_squared),
+        "n_points": fit.n_points,
+    }
+
+
+def _bucs_fields(
+    result: BucsResult, with_mode: bool = False, wald: CredibleInterval | None = None
+) -> dict[str, Any]:
+    """The BUCS fields; ``adux bucs`` adds the mode (null when the density
+    peaks on a boundary) and, when it has one, the Wald interval."""
+    fields: dict[str, Any] = {
+        "posterior": {
+            "alpha": _num(result.posterior.alpha),
+            "beta": _num(result.posterior.beta),
+        },
+        "interval": {
+            "lower": _num(result.interval.lower),
+            "upper": _num(result.interval.upper),
+            "mass": _num(result.interval.mass),
+            "kind": result.interval.kind.value,
+            "unique": result.interval.unique,
+        },
+        "mean": _num(result.mean),
+    }
+    if with_mode:
+        fields["mode"] = _num(result.mode)
+    if wald is not None:
+        fields["wald"] = {"lower": _num(wald.lower), "upper": _num(wald.upper)}
+    return fields
+
+
 def report_document(report: AduxReport, no_meta: bool = False) -> dict[str, Any]:
     """The report as a JSON-ready dict with fixed key order."""
     doc: dict[str, Any] = {
@@ -260,40 +308,14 @@ def report_document(report: AduxReport, no_meta: bool = False) -> dict[str, Any]
         "categories": [],
     }
     for cat in report.categories:
-        entry: dict[str, Any] = {
-            "name": cat.name,
-            "iei": {
-                "bits": _num(cat.iei.value),
-                "normalized": _num(cat.iei.normalized),
-                "n": cat.iei.n_ratings,
-            },
-        }
+        entry: dict[str, Any] = {"name": cat.name, "iei": _iei_fields(cat.iei)}
         if cat.tdc is not None:
-            entry["tdc"] = {
-                "beta0": _num(cat.tdc.beta0),
-                "beta1": _num(cat.tdc.beta1),
-                "stderr": _num(cat.tdc.stderr_beta1),
-                "ci95": [_num(cat.tdc.ci95_beta1[0]), _num(cat.tdc.ci95_beta1[1])],
-                "r2": _num(cat.tdc.r_squared),
-                "n_points": cat.tdc.n_points,
-            }
+            entry["tdc"] = _tdc_fields(cat.tdc)
+            del entry["tdc"]["residual_sd"]
         else:
             entry["tdc"] = {"unavailable": cat.tdc_reason}
         if cat.bucs is not None:
-            entry["bucs"] = {
-                "posterior": {
-                    "alpha": _num(cat.bucs.posterior.alpha),
-                    "beta": _num(cat.bucs.posterior.beta),
-                },
-                "interval": {
-                    "lower": _num(cat.bucs.interval.lower),
-                    "upper": _num(cat.bucs.interval.upper),
-                    "mass": _num(cat.bucs.interval.mass),
-                    "kind": cat.bucs.interval.kind.value,
-                    "unique": cat.bucs.interval.unique,
-                },
-                "mean": _num(cat.bucs.mean),
-            }
+            entry["bucs"] = _bucs_fields(cat.bucs)
         else:
             entry["bucs"] = {"unavailable": cat.bucs_reason}
         doc["categories"].append(entry)
@@ -323,74 +345,42 @@ _CSV_COLUMNS = (
 )
 
 
+def _report_csv_table(doc: dict[str, Any]) -> Iterator[tuple]:
+    """The CSV report of a report document: one row per (category, metric),
+    its nested fields flattened into the columns."""
+    yield _CSV_COLUMNS
+    for entry in doc["categories"]:
+        for metric in ("iei", "tdc", "bucs"):
+            cells = dict(entry[metric])
+            if "unavailable" in cells:
+                cells = {"available": False, "reason": cells["unavailable"]}
+            else:
+                cells["available"] = True
+                cells.update(cells.pop("posterior", {}))
+                cells.update((f"interval_{k}", v) for k, v in cells.pop("interval", {}).items())
+                cells["ci95_lower"], cells["ci95_upper"] = cells.pop("ci95", (None, None))
+            yield (entry["name"], metric, *map(cells.get, _CSV_COLUMNS[2:]))
+
+
 def _cell(value: Any) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(_num(value))
     return str(value)
 
 
-def _report_csv_rows(report: AduxReport) -> list[dict[str, Any]]:
-    rows = []
-    for cat in report.categories:
-        rows.append(
-            {
-                "category": cat.name,
-                "metric": "iei",
-                "available": True,
-                "bits": cat.iei.value,
-                "normalized": cat.iei.normalized,
-                "n": cat.iei.n_ratings,
-            }
-        )
-        tdc_row: dict[str, Any] = {"category": cat.name, "metric": "tdc"}
-        if cat.tdc is not None:
-            tdc_row.update(
-                available=True,
-                beta0=cat.tdc.beta0,
-                beta1=cat.tdc.beta1,
-                stderr=cat.tdc.stderr_beta1,
-                ci95_lower=cat.tdc.ci95_beta1[0],
-                ci95_upper=cat.tdc.ci95_beta1[1],
-                r2=cat.tdc.r_squared,
-                n_points=cat.tdc.n_points,
-            )
-        else:
-            tdc_row.update(available=False, reason=cat.tdc_reason)
-        rows.append(tdc_row)
-        bucs_row: dict[str, Any] = {"category": cat.name, "metric": "bucs"}
-        if cat.bucs is not None:
-            bucs_row.update(
-                available=True,
-                alpha=cat.bucs.posterior.alpha,
-                beta=cat.bucs.posterior.beta,
-                interval_lower=cat.bucs.interval.lower,
-                interval_upper=cat.bucs.interval.upper,
-                interval_mass=cat.bucs.interval.mass,
-                interval_kind=cat.bucs.interval.kind.value,
-                interval_unique=cat.bucs.interval.unique,
-                mean=cat.bucs.mean,
-            )
-        else:
-            bucs_row.update(available=False, reason=cat.bucs_reason)
-        rows.append(bucs_row)
-    return rows
+def _json_text(doc: dict[str, Any]) -> str:
+    return json.dumps(doc, indent=2) + "\n"
 
 
-def _render_report(report: AduxReport, fmt: str, no_meta: bool) -> str:
-    if fmt == "json":
-        return json.dumps(report_document(report, no_meta=no_meta), indent=2) + "\n"
-    if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
-        for row in _report_csv_rows(report):
-            writer.writerow([_cell(row.get(col)) for col in _CSV_COLUMNS])
-        return buffer.getvalue()
-    raise UnknownFormat(f"unsupported report format {fmt!r} (expected json or csv)")
+def _csv_text(rows: Iterable[Iterable[Any]]) -> str:
+    """A CSV table; its floats must arrive rounded by :func:`_num`."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    for row in rows:
+        writer.writerow(map(_cell, row))
+    return buffer.getvalue()
 
 
 @contextmanager
@@ -417,6 +407,14 @@ def open_output(destination: str | Path | IO[str]) -> Iterator[IO[str]]:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
+def _write_text(text: str, destination: str | Path | IO[str] | None) -> str:
+    """Write the text to the destination, if given one; returns the text."""
+    if destination is not None:
+        with open_output(destination) as handle:
+            handle.write(text)
+    return text
+
+
 def emit_report(
     report: AduxReport,
     fmt: str = "json",
@@ -428,11 +426,13 @@ def emit_report(
     ``no_meta`` drops the run-metadata block (which carries the only
     timestamp), making the output byte-stable across reruns.
     """
-    text = _render_report(report, fmt, no_meta)
-    if destination is not None:
-        with open_output(destination) as handle:
-            handle.write(text)
-    return text
+    if fmt == "json":
+        text = _json_text(report_document(report, no_meta=no_meta))
+    elif fmt == "csv":
+        text = _csv_text(_report_csv_table(report_document(report, no_meta=True)))
+    else:
+        raise UnknownFormat(f"unsupported report format {fmt!r} (expected json or csv)")
+    return _write_text(text, destination)
 
 
 # ---------------------------------------------------------------------------
@@ -460,17 +460,13 @@ FIGURES = ("fig1", "fig2", "fig3")
 
 def plot_data_rows(source: AduxReport | Fig3Spec, figure: str) -> tuple[tuple, ...]:
     """Plot-data table for one figure, as (header, row, row, ...)."""
+    if figure in ("fig1", "fig2") and not isinstance(source, AduxReport):
+        raise MissingInput(f"{figure} needs an evaluated report")
     if figure == "fig1":
-        if not isinstance(source, AduxReport):
-            raise MissingInput("fig1 needs an evaluated report")
         header = ("category", "iei_bits", "iei_normalized")
-        return (header,) + tuple(
-            (c.name, _num(c.iei.value), _num(c.iei.normalized))
-            for c in source.categories
-        )
+        fields = [(c.name, _iei_fields(c.iei)) for c in source.categories]
+        return (header,) + tuple((name, f["bits"], f["normalized"]) for name, f in fields)
     if figure == "fig2":
-        if not isinstance(source, AduxReport):
-            raise MissingInput("fig2 needs an evaluated report")
         header = ("category", "t", "u", "fitted_u")
         rows: list[tuple] = []
         for c in source.categories:
@@ -505,13 +501,4 @@ def emit_plot_data(
     destination: str | Path | IO[str] | None = None,
 ) -> str:
     """Write one figure's plot-data table as headered CSV."""
-    rows = plot_data_rows(source, figure)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    for row in rows:
-        writer.writerow(["" if v is None else _cell(v) for v in row])
-    text = buffer.getvalue()
-    if destination is not None:
-        with open_output(destination) as handle:
-            handle.write(text)
-    return text
+    return _write_text(_csv_text(plot_data_rows(source, figure)), destination)

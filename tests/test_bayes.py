@@ -44,6 +44,13 @@ class TestTypes:
         with pytest.raises(ValueError):
             BetaParams(1.0, -2.0)
 
+    @pytest.mark.parametrize("alpha, beta", [
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf),
+    ])
+    def test_beta_params_finite(self, alpha, beta):
+        with pytest.raises(ValueError, match="must be finite"):
+            BetaParams(alpha, beta)
+
     def test_trial_summary_bounds(self):
         with pytest.raises(ValueError):
             TrialSummary(completions=5, trials=4)

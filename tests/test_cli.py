@@ -79,6 +79,17 @@ class TestExitCodes:
     def test_n_exceeding_trials_is_usage_error(self, capsys):
         assert main(["bucs", "--n", "11", "--N", "10"]) == 64
 
+    @pytest.mark.parametrize("prior", ["nan,1", "1,nan", "inf,1", "1,-inf"])
+    def test_non_finite_prior_is_usage_error(self, prior, sessions_csv, capsys):
+        # A NaN prior would print NaN, which is not JSON (RFC 8259), and an
+        # infinite one has no posterior to solve for.
+        assert main(["bucs", "--n", "1", "--N", "2", "--prior", prior]) == 64
+        assert main(["report", "--input", sessions_csv, "--no-meta",
+                     "--prior", prior]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("argument --prior: bad prior") == 2
+
 
 class TestBucsCommand:
     def test_seven_of_ten_prints_posterior(self, capsys):
@@ -245,6 +256,28 @@ class TestSimulateCommand:
     def test_bad_probs_is_usage_error(self, capsys):
         assert main(["simulate", "--category", "c", "--probs", "0.9,0.9"]) == 64
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--periods", "0", "periods must be >= 1, got 0"),
+        ("--sessions-per-period", "-1", "sessions_per_period must be >= 1, got -1"),
+    ])
+    def test_bad_preset_size_is_usage_error(self, flag, value, message, capsys):
+        assert main(["simulate", "--preset", "all", flag, value]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"adux: usage error: {message}\n"
+
+    def test_flags_and_config_share_defaults(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("ADUX_SEED", raising=False)
+        probs = [0.1, 0.2, 0.3, 0.2, 0.2]
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({"category": "c", "probs": probs}))
+        assert main(["simulate", "--config", str(config)]) == 0
+        from_config = capsys.readouterr()
+        assert main(["simulate", "--category", "c",
+                     "--probs", ",".join(map(str, probs))]) == 0
+        assert capsys.readouterr() == from_config
+        assert from_config.err == "adux: simulated 320 sessions (seed 42)\n"
+
     def test_config_file(self, tmp_path):
         config = tmp_path / "spec.json"
         config.write_text(json.dumps({
@@ -379,6 +412,18 @@ class TestPlotdataCommand:
 
     def test_fig3_requires_p_hat(self, capsys):
         assert main(["plotdata", "--figure", "fig3"]) == 64
+
+    @pytest.mark.parametrize("args, message", [
+        (["--p-hat", "2"], "p_hat must lie in [0, 1], got 2.0"),
+        (["--p-hat", "nan"], "p_hat must lie in [0, 1], got nan"),
+        (["--p-hat", "0.5", "--N-list", "0"],
+         "trial_counts must be a non-empty list of positive counts"),
+    ])
+    def test_bad_fig3_spec_is_usage_error(self, args, message, capsys):
+        assert main(["plotdata", "--figure", "fig3"] + args) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"adux: usage error: {message}\n"
 
     def test_fig1_requires_input(self, capsys):
         assert main(["plotdata", "--figure", "fig1"]) == 64
