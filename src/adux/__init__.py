@@ -32,7 +32,6 @@ from .errors import (
 from .model import (
     Dataset,
     DiscreteDistribution,
-    RatingLevel,
     Rejection,
     ResponseSpace,
     STRICT,
@@ -108,7 +107,7 @@ __all__ = [
     "MissingInput", "NegativePeriod", "UnknownCategory", "UnknownFormat",
     "UnknownRating", "ZeroTrials",
     # core model
-    "Dataset", "DiscreteDistribution", "RatingLevel", "Rejection",
+    "Dataset", "DiscreteDistribution", "Rejection",
     "ResponseSpace", "STRICT", "SKIP_INVALID", "SessionCounts",
     "SessionObservation", "ValidationResult", "build_distribution", "five_point",
     "validate_dataset",

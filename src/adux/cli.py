@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from itertools import chain
@@ -82,9 +83,12 @@ def _scale_arg(text: str) -> tuple[int, int]:
 def _prior_arg(text: str) -> BetaParams:
     try:
         a_text, b_text = text.split(",", 1)
-        return BetaParams(float(a_text), float(b_text))
+        prior = BetaParams(float(a_text), float(b_text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad prior {text!r}: {exc}") from None
+    if math.isinf(prior.alpha + prior.beta):
+        raise argparse.ArgumentTypeError(f"bad prior {text!r}: alpha + beta overflows a float")
+    return prior
 
 
 def _mass_arg(text: str) -> float:
@@ -201,6 +205,8 @@ def _cmd_bucs(args: argparse.Namespace) -> int:
         raise _UsageError(f"--n must be >= 0, got {args.n}")
     if args.n > args.N:
         raise _UsageError(f"--n ({args.n}) cannot exceed --N ({args.N})")
+    if args.N > sys.float_info.max or math.isinf(args.prior.alpha + args.prior.beta + args.N):
+        raise _UsageError("--N is too large: the posterior's alpha + beta overflows a float")
     trials = TrialSummary(completions=args.n, trials=args.N)
     result = bucs(args.prior, trials, args.mass)
     wald = wald_ci(trials, args.mass) if args.N >= 1 else None
@@ -221,8 +227,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 # The simulate flags' defaults, and a config entry's for the keys it leaves
 # out; the keys are the flags' argparse dests.
 _SPEC_DEFAULTS: dict[str, Any] = {
-    "scale": (1, 5), "beta0": 3.0, "beta1": 0.0, "noise_sd": 0.0,
-    "completion_p": 0.8, "periods": 8, "sessions_per_period": 40,
+    "scale": (1, 5), "completion_p": 0.8, "periods": 8, "sessions_per_period": 40,
 }
 
 
@@ -233,9 +238,10 @@ def _spec(fields: dict[str, Any], seed: int) -> GeneratorSpec:
     return GeneratorSpec(
         category=fields["category"],
         true_distribution=DiscreteDistribution(space=space, probs=tuple(fields["probs"])),
-        true_beta0=float(fields["beta0"]),
-        true_beta1=float(fields["beta1"]),
-        noise_sd=float(fields["noise_sd"]),
+        # The drift line feeds only gen_drift_series, which simulate never runs.
+        true_beta0=3.0,
+        true_beta1=0.0,
+        noise_sd=0.0,
         completion_p=float(fields["completion_p"]),
         periods=int(fields["periods"]),
         sessions_per_period=int(fields["sessions_per_period"]),
@@ -246,10 +252,14 @@ def _spec(fields: dict[str, Any], seed: int) -> GeneratorSpec:
 def _specs_from_config_file(path: str, default_seed: int) -> list[GeneratorSpec]:
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
-    entries = payload if isinstance(payload, list) else payload.get("specs", [payload])
+    entries = payload.get("specs", [payload]) if isinstance(payload, dict) else payload
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise TypeError('expected a spec object, a list of them or {"specs": [...]}')
     specs = []
     for i, entry in enumerate(entries):
         if "scale" in entry:
+            if not isinstance(entry["scale"], str):
+                raise TypeError(f"scale must be a string LO..HI, got {entry['scale']!r}")
             entry = {**entry, "scale": _scale_arg(entry["scale"])}
         specs.append(_spec(entry, entry.get("seed", default_seed + i)))
     return specs
@@ -272,8 +282,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                               "(or --preset / --config)")
         else:
             specs = [_spec(vars(args), seed)]
-    except (KeyError, TypeError, ValueError, argparse.ArgumentTypeError) as exc:
-        # A config entry can also miss a key or give a value of the wrong type.
+    except (KeyError, TypeError, ValueError, OverflowError, argparse.ArgumentTypeError) as exc:
+        # A config entry can also miss a key, give a value of the wrong type
+        # or a number that JSON reads as infinity (1e400).
         prefix = f"bad simulate config {args.config}: " if args.config else ""
         raise _UsageError(f"{prefix}{exc}") from None
 
@@ -357,9 +368,6 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--category", help="category label for flag-driven specs")
     p_sim.add_argument("--probs", type=_probs_arg, metavar="P1,P2,...",
                        help="true rating distribution")
-    p_sim.add_argument("--beta0", type=float)
-    p_sim.add_argument("--beta1", type=float)
-    p_sim.add_argument("--noise-sd", type=float)
     p_sim.add_argument("--completion-p", type=float)
     p_sim.add_argument("--periods", type=int)
     p_sim.add_argument("--sessions-per-period", type=int)

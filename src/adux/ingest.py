@@ -62,18 +62,6 @@ def _parse_rfc3339(text: str) -> datetime:
     return dt.astimezone(timezone.utc)
 
 
-def _window_ordinal(dt: datetime, window: str) -> int:
-    """Index of the (UTC) calendar window containing dt, on an absolute axis."""
-    if window == "day":
-        return dt.date().toordinal()
-    if window == "hour":
-        return dt.date().toordinal() * 24 + dt.hour
-    if window == "week":
-        monday = dt.date().toordinal() - dt.date().weekday()
-        return monday // 7
-    raise ValueError(f"unknown bucketing window {window!r}")
-
-
 # What a reader passes on per row: the raw value of each field (None when
 # absent), or the reason the row could not be read at all.
 _FIELDS = ("session_id", "category", "period", "rating", "task_completed", "timestamp")
@@ -254,7 +242,6 @@ def _scan(
     handle: IO[str],
     fmt: str,
     validator: RowValidator,
-    window: str,
     keep: Callable[[str, str, int, int, bool | None], None],
     counts: SessionCounts | None = None,
 ) -> int | None:
@@ -263,11 +250,11 @@ def _scan(
     Given ``counts``, which ``keep`` adds to, a CSV log may be counted by
     its distinct lines first (:func:`_count_distinct_lines`).
 
-    A row whose period is empty takes it from its timestamp, bucketed into
-    UTC calendar windows. Such periods count from the earliest valid
-    timestamped row, which is known only at the end, so until then ``keep``
-    gets ``~w`` (that is, ``-1 - w``) for window ordinal w; no valid
-    explicit period is negative. Returns the earliest ordinal, or None.
+    A row whose period is empty takes it from its timestamp, bucketed by
+    UTC day. Such periods count from the earliest valid timestamped row,
+    which is known only at the end, so until then ``keep`` gets ``~d``
+    (that is, ``-1 - d``) for the day's ordinal d; no valid explicit
+    period is negative. Returns the earliest ordinal, or None.
     """
     records = _csv_records(handle, counts) if fmt == FORMAT_CSV else _jsonl_records(handle)
     origin = None
@@ -282,7 +269,7 @@ def _scan(
             except (ValueError, OverflowError):  # OverflowError: out of range in UTC
                 validator.reject(number, MalformedRow(f"invalid RFC 3339 timestamp {ts!r}"))
                 continue
-            ordinal = _window_ordinal(stamp, window)
+            ordinal = stamp.date().toordinal()
             row = validator.check(number, session_id, category, 0, rating, task)
             if row is not None:
                 origin = ordinal if origin is None else min(origin, ordinal)
@@ -311,7 +298,6 @@ def _ingest(
     fmt: str,
     space: ResponseSpace,
     strictness: str,
-    window: str,
     keep: Callable[[str, str, int, int, bool | None], None],
     counts: SessionCounts | None = None,
 ) -> tuple[tuple[Rejection, ...], Callable[[int], int]]:
@@ -327,10 +313,10 @@ def _ingest(
     validator = RowValidator(space, strictness)
     try:
         if hasattr(source, "read"):
-            origin = _scan(source, fmt_key, validator, window, keep, counts)
+            origin = _scan(source, fmt_key, validator, keep, counts)
         else:
             with open(source, "r", encoding="utf-8", newline="") as handle:
-                origin = _scan(handle, fmt_key, validator, window, keep, counts)
+                origin = _scan(handle, fmt_key, validator, keep, counts)
     except OSError as exc:
         raise IoFailure(f"cannot read {source}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -349,17 +335,16 @@ def load_sessions(
     fmt: str = FORMAT_CSV,
     space: ResponseSpace | None = None,
     strictness: str = STRICT,
-    window: str = "day",
 ) -> ValidationResult:
     """Parse a session log into a validated dataset plus rejection log.
 
     ``fmt`` is ``csv`` or ``jsonl`` (alias ``json-lines``); both carry the
     same fields. Rows whose ``period`` is empty fall back to bucketing their
-    ``timestamp`` into UTC calendar windows (default: day). Those periods
-    count from the window of the earliest valid timestamped row, apart from
-    any explicit ``period`` values in the same log, and rows that fail
-    validation do not move them. Strict mode raises on the first invalid
-    row in file order; skip-invalid mode drops and logs.
+    ``timestamp`` by UTC day. Those periods count from the day of the
+    earliest valid timestamped row, apart from any explicit ``period``
+    values in the same log, and rows that fail validation do not move them.
+    Strict mode raises on the first invalid row in file order; skip-invalid
+    mode drops and logs.
 
     :func:`tally_sessions` makes the same pass into counts, without
     building a row object.
@@ -367,7 +352,7 @@ def load_sessions(
     space = space if space is not None else five_point()
     rows: list[tuple[str, str, int, int, bool | None]] = []
     rejections, period_of = _ingest(
-        source, fmt, space, strictness, window, lambda *row: rows.append(row)
+        source, fmt, space, strictness, lambda *row: rows.append(row)
     )
     observations = tuple(
         SessionObservation(s, c, period_of(p), r, t) for s, c, p, r, t in rows
@@ -380,7 +365,6 @@ def tally_sessions(
     fmt: str = FORMAT_CSV,
     space: ResponseSpace | None = None,
     strictness: str = STRICT,
-    window: str = "day",
     aggregation: str = POOLED,
 ) -> tuple[SessionCounts, tuple[Rejection, ...]]:
     """The counts of a session log and its rejection log, in one pass.
@@ -395,7 +379,7 @@ def tally_sessions(
         space if space is not None else five_point(), aggregation
     )
     rejections, period_of = _ingest(
-        source, fmt, counts.space, strictness, window, counts.add, counts
+        source, fmt, counts.space, strictness, counts.add, counts
     )
     if any(p < 0 for _, p in counts.levels):
         counts = counts.with_periods(period_of)

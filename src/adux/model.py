@@ -9,8 +9,8 @@ mappings (:func:`validate_dataset`) and rows streamed from a file
 only sufficient statistics, which :class:`SessionCounts` holds: rating
 counts per (category, period), task outcomes per category and, for the
 mean-of-sessions IEI, rating counts per session. It is the one mutable
-type here, an accumulator that is filled a row at a time and merges by
-addition; :meth:`Dataset.counts` builds it from observation objects.
+type here, an accumulator that is filled a row at a time;
+:meth:`Dataset.counts` builds it from observation objects.
 """
 
 from __future__ import annotations
@@ -35,65 +35,40 @@ SKIP_INVALID = "skip-invalid"
 
 
 @dataclass(frozen=True)
-class RatingLevel:
-    """One admissible rating: an integer code plus a human-readable label."""
-
-    code: int
-    label: str
-
-
-@dataclass(frozen=True)
 class ResponseSpace:
-    """Ordered, discrete set of admissible rating levels.
+    """The admissible ratings: the integers ``min_code`` to ``max_code``
+    inclusive, in order.
 
-    Codes must be strictly increasing and labels unique. The shipped default
-    is the 1..5 scale (see :func:`five_point`), but any ordered integer-coded
-    scale works.
+    The shipped default is the 1..5 scale (see :func:`five_point`). A code
+    belongs to the space when it equals one of those integers, so ``3.0``
+    and ``True`` (which equals 1) do and ``2.5`` does not.
     """
 
-    levels: tuple[RatingLevel, ...]
+    min_code: int
+    max_code: int
 
     def __post_init__(self) -> None:
-        if not self.levels:
-            raise ValueError("response space must contain at least one level")
-        codes = [lv.code for lv in self.levels]
-        if any(b <= a for a, b in zip(codes, codes[1:])):
-            raise ValueError(f"level codes must be strictly increasing, got {codes}")
-        labels = [lv.label for lv in self.levels]
-        if len(set(labels)) != len(labels):
-            raise ValueError("level labels must be unique")
+        if self.max_code < self.min_code:
+            raise ValueError(
+                "response space must contain at least one level, "
+                f"got {self.min_code}..{self.max_code}"
+            )
 
     @classmethod
     def from_range(cls, lo: int, hi: int) -> ResponseSpace:
-        """Space with codes lo..hi inclusive, labelled by their codes."""
-        if hi < lo:
-            raise ValueError(f"scale bounds out of order: {lo}..{hi}")
-        return cls(tuple(RatingLevel(c, str(c)) for c in range(lo, hi + 1)))
+        """Space with codes lo..hi inclusive."""
+        return cls(lo, hi)
 
     @property
     def codes(self) -> tuple[int, ...]:
-        return tuple(lv.code for lv in self.levels)
-
-    @property
-    def min_code(self) -> int:
-        return self.levels[0].code
-
-    @property
-    def max_code(self) -> int:
-        return self.levels[-1].code
+        return tuple(range(self.min_code, self.max_code + 1))
 
     def __len__(self) -> int:
-        return len(self.levels)
+        return self.max_code - self.min_code + 1
 
     def __contains__(self, code: object) -> bool:
-        return any(lv.code == code for lv in self.levels)
-
-    def index(self, code: int) -> int:
-        """Position of a code within the space."""
-        for i, lv in enumerate(self.levels):
-            if lv.code == code:
-                return i
-        raise UnknownRating(f"rating code {code!r} not in response space {self.codes}")
+        # range compares by equality, unlike a bare bounds check: 2.5 is out.
+        return code in range(self.min_code, self.max_code + 1)
 
 
 def five_point() -> ResponseSpace:
@@ -126,9 +101,6 @@ class DiscreteDistribution:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         if self.n_obs is not None and self.n_obs < 1:
             raise ValueError("n_obs must be positive when given")
-
-    def prob_of(self, code: int) -> float:
-        return self.probs[self.space.index(code)]
 
 
 @dataclass(frozen=True)
@@ -183,10 +155,6 @@ class SessionCounts:
     to rating counts, in the order the keys were first seen, which is the
     order the mean of session entropies is summed in. ``len()`` is the
     number of rows counted.
-
-    Tallies merge by addition: ``a + b`` equals the tally of a's rows
-    followed by b's, so separately counted parts of a log combine exactly
-    (Chan, Golub & LeVeque 1979).
     """
 
     space: ResponseSpace
@@ -267,17 +235,6 @@ class SessionCounts:
             ((c, period_of(p), s), counts) for (c, p, s), counts in self.sessions.items()
         )
         return moved
-
-    def __add__(self, other: SessionCounts) -> SessionCounts:
-        if not isinstance(other, SessionCounts):
-            return NotImplemented
-        if other.space != self.space or other.per_session != self.per_session:
-            raise ValueError("only counts over one response space and of one kind merge")
-        total = SessionCounts(self.space, self.per_session, self.rows + other.rows)
-        total.levels = sum_counts([*self.levels.items(), *other.levels.items()])
-        total.trials = sum_counts([*self.trials.items(), *other.trials.items()])
-        total.sessions = sum_counts([*self.sessions.items(), *other.sessions.items()])
-        return total
 
 
 @dataclass(frozen=True)

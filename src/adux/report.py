@@ -129,7 +129,7 @@ class EvalConfig:
     def digest(self, space: ResponseSpace) -> str:
         payload = json.dumps(
             {
-                "scale": [[lv.code, lv.label] for lv in space.levels],
+                "scale": [[code, str(code)] for code in space.codes],
                 "prior": [self.prior.alpha, self.prior.beta],
                 "mass": self.mass,
                 "aggregation": self.aggregation,
@@ -303,7 +303,7 @@ def report_document(report: AduxReport, no_meta: bool = False) -> dict[str, Any]
     """The report as a JSON-ready dict with fixed key order."""
     doc: dict[str, Any] = {
         "scale": {
-            "levels": [{"code": lv.code, "label": lv.label} for lv in report.scale.levels]
+            "levels": [{"code": code, "label": str(code)} for code in report.scale.codes]
         },
         "categories": [],
     }

@@ -38,9 +38,10 @@ class GeneratorSpec:
 
     ``true_distribution`` is either a single rating distribution used for
     every period or a per-period tuple (one entry per period) for drifting
-    response profiles. The drift line ``true_beta0 + true_beta1 * t`` with
-    ``noise_sd`` feeds :func:`gen_drift_series`; ``completion_p`` feeds the
-    per-session task outcomes.
+    response profiles; ``completion_p`` feeds the per-session task outcomes.
+    The drift fields, the line ``true_beta0 + true_beta1 * t`` with
+    ``noise_sd``, feed only :func:`gen_drift_series`: the session rows of
+    :func:`gen_session_rows` never read them.
     """
 
     category: str

@@ -79,10 +79,17 @@ class TestExitCodes:
     def test_n_exceeding_trials_is_usage_error(self, capsys):
         assert main(["bucs", "--n", "11", "--N", "10"]) == 64
 
-    @pytest.mark.parametrize("prior", ["nan,1", "1,nan", "inf,1", "1,-inf"])
+    def test_n_beyond_float_range_is_usage_error(self, capsys):
+        assert main(["bucs", "--n", "0", "--N", "1" + "0" * 400]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "overflows a float" in captured.err
+
+    @pytest.mark.parametrize("prior", ["nan,1", "1,nan", "inf,1", "1,-inf", "1e308,1e308"])
     def test_non_finite_prior_is_usage_error(self, prior, sessions_csv, capsys):
         # A NaN prior would print NaN, which is not JSON (RFC 8259), and an
-        # infinite one has no posterior to solve for.
+        # infinite one, or one whose alpha + beta is, has no posterior to
+        # solve for.
         assert main(["bucs", "--n", "1", "--N", "2", "--prior", prior]) == 64
         assert main(["report", "--input", sessions_csv, "--no-meta",
                      "--prior", prior]) == 64
@@ -293,10 +300,24 @@ class TestSimulateCommand:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 1 + 2 * 2 * 3
 
-    def test_bad_config_is_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("payload", [
+        '{"specs": [{"category": "x"}]}',
+        '"hello"',
+        '7',
+        '{"specs": "x"}',
+        '{"category": "c", "probs": [0.2, 0.2, 0.2, 0.2, 0.2], "scale": [1, 5]}',
+        '{"category": "c", "probs": [0.2, 0.2, 0.2, 0.2, 0.2], "scale": 15}',
+        '{"category": "c", "probs": [0.2, 0.2, 0.2, 0.2, 0.2], "periods": 1e400}',
+        '{"category": "c", "probs": [0.2, 0.2, 0.2, 0.2, 0.2], "seed": 1e400}',
+    ], ids=["missing-probs", "string", "number", "specs-string", "scale-list",
+            "scale-number", "periods-inf", "seed-inf"])
+    def test_bad_config_is_usage_error(self, payload, tmp_path, capsys):
         config = tmp_path / "spec.json"
-        config.write_text(json.dumps({"specs": [{"category": "x"}]}))
+        config.write_text(payload)
         assert main(["simulate", "--config", str(config)]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"adux: usage error: bad simulate config {config}: ")
 
     def test_empty_config_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "spec.json"

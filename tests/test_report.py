@@ -141,24 +141,6 @@ class TestTimestampBucketing:
         ds = _csv(text).dataset
         assert [o.period for o in ds.observations] == [0, 0]
 
-    def test_hour_window(self):
-        text = (
-            "session_id,category,period,rating,timestamp\n"
-            "s1,chat,,4,2024-03-01T10:05:00Z\n"
-            "s2,chat,,5,2024-03-01T13:59:00Z\n"
-        )
-        ds = _csv(text, window="hour").dataset
-        assert [o.period for o in ds.observations] == [0, 3]
-
-    def test_week_window(self):
-        text = (
-            "session_id,category,period,rating,timestamp\n"
-            "s1,chat,,4,2024-03-04T10:00:00Z\n"  # Monday
-            "s2,chat,,5,2024-03-17T10:00:00Z\n"  # Sunday, following week
-        )
-        ds = _csv(text, window="week").dataset
-        assert [o.period for o in ds.observations] == [0, 1]
-
     def test_periods_count_from_earliest_valid_row(self):
         text = (
             "session_id,category,period,rating,timestamp\n"

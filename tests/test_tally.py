@@ -185,20 +185,6 @@ class TestSessionCounts:
             for i, r in enumerate(ratings)
         ))
 
-    @given(st.lists(st.integers(1, 5), max_size=30), st.lists(st.integers(1, 5), max_size=30),
-           aggregations)
-    def test_merge_is_the_tally_of_the_joined_rows(self, first, second, aggregation):
-        a, b = self._dataset(first), self._dataset(second)
-        joined = Dataset(five_point(), a.observations + b.observations)
-        merged = a.counts(aggregation) + b.counts(aggregation)
-        assert _same_counts(merged, joined.counts(aggregation))
-        assert len(merged) == len(first) + len(second)
-
-    def test_merge_refuses_other_kinds(self):
-        ds = self._dataset([1, 2, 3])
-        with pytest.raises(ValueError):
-            ds.counts(MEAN_OF_SESSIONS) + ds.counts(POOLED)
-
     def test_mean_of_sessions_needs_per_session_counts(self):
         counts = self._dataset([1, 2, 3]).counts(POOLED)
         with pytest.raises(ValueError, match="per session"):
