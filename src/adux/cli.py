@@ -233,19 +233,26 @@ _SPEC_DEFAULTS: dict[str, Any] = {
 
 def _spec(fields: dict[str, Any], seed: int) -> GeneratorSpec:
     """One generator spec from simulate flags or a config entry."""
-    fields = {**_SPEC_DEFAULTS, **fields}
+    fields = {**_SPEC_DEFAULTS, **fields, "seed": seed}
+    category = fields["category"]
+    if not isinstance(category, str) or not category:
+        raise ValueError(f"category must be a non-empty string, got {category!r}")
+    for key in ("periods", "sessions_per_period", "seed"):
+        # int() would cut 1.5 to 1, and take true for 1, without a word.
+        if type(fields[key]) is not int:
+            raise ValueError(f"{key} must be an integer, got {fields[key]!r}")
     space = ResponseSpace.from_range(*fields["scale"])
     return GeneratorSpec(
-        category=fields["category"],
+        category=category,
         true_distribution=DiscreteDistribution(space=space, probs=tuple(fields["probs"])),
         # The drift line feeds only gen_drift_series, which simulate never runs.
         true_beta0=3.0,
         true_beta1=0.0,
         noise_sd=0.0,
         completion_p=float(fields["completion_p"]),
-        periods=int(fields["periods"]),
-        sessions_per_period=int(fields["sessions_per_period"]),
-        seed=int(seed),
+        periods=fields["periods"],
+        sessions_per_period=fields["sessions_per_period"],
+        seed=fields["seed"],
     )
 
 

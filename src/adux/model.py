@@ -15,6 +15,7 @@ type here, an accumulator that is filled a row at a time;
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -94,6 +95,8 @@ class DiscreteDistribution:
             raise ValueError(
                 f"got {len(self.probs)} probabilities for {len(self.space)} levels"
             )
+        if not all(map(math.isfinite, self.probs)):
+            raise ValueError(f"non-finite probability in {self.probs}")
         if any(p < 0 for p in self.probs):
             raise ValueError(f"negative probability in {self.probs}")
         total = sum(self.probs)

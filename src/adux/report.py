@@ -11,7 +11,10 @@ validates and counts each row (:func:`~adux.ingest.tally_sessions`), and
 :func:`evaluate` works from those counts, or tallies a :class:`Dataset`
 of row objects first. Session logs are written the same way:
 :func:`write_sessions` renders rows as they come, a chunk at a time, for
-``adux simulate`` and for :func:`emit_sessions` alike.
+``adux simulate`` and for :func:`emit_sessions` alike. Each chunk is one
+join of its rows' cells; a chunk that ``csv.writer`` would render
+otherwise (a cell holding a comma, a quote, a line break or a NUL, or one
+that is not a ``str``, ``int`` or ``bool``) is rendered by it instead.
 
 Every file is written through :func:`open_output`: a temp file that
 replaces the destination only once the write has finished, so a failed
@@ -29,7 +32,7 @@ from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import islice
+from itertools import chain, islice
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, IO
@@ -66,12 +69,14 @@ REASON_NO_TASK_OUTCOMES = "no-task-outcomes"
 _SESSION_COLUMNS = ("session_id", "category", "period", "rating", "task_completed")
 _TASK_CELL = {True: "true", False: "false", None: ""}
 _CHUNK_ROWS = 8192
+_PLAIN_CELLS = frozenset((str, int, bool))
 _row_of = attrgetter(*_SESSION_COLUMNS)
 
 
-def _cr_quoted(rows: list[tuple]) -> str:
+def _csv_lines(rows: list[tuple]) -> str:
     # A "\n"-terminated writer leaves a "\r" inside a cell unquoted, and
     # the reader refuses that line; a "\r\n"-terminated writer quotes it.
+    # Other cells come out as a "\n"-terminated writer renders them.
     line = io.StringIO()
     writer = csv.writer(line, lineterminator="\r\n")
     parts = []
@@ -91,17 +96,24 @@ def write_sessions(
     Rows are rendered and written a chunk at a time as they are consumed,
     so memory holds one chunk, not the log. Every row ends in a line feed;
     a cell holding a carriage return is quoted.
+
+    A chunk is rendered by one join of its rows' cells. When csv would
+    render it otherwise (a cell holding a comma, a quote or a line break,
+    or a cell that is not a ``str``, ``int`` or ``bool``, such as ``None``)
+    or refuse it (a NUL, before Python 3.11), the chunk is rendered by
+    ``csv.writer`` instead.
     """
-    cells = ((s, c, p, r, _TASK_CELL[t]) for s, c, p, r, t in rows)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    rows = iter(rows)
     handle.write(",".join(_SESSION_COLUMNS) + "\n")
-    while chunk := list(islice(cells, _CHUNK_ROWS)):
-        buffer.seek(0)
-        buffer.truncate()
-        writer.writerows(chunk)
-        text = buffer.getvalue()
-        handle.write(_cr_quoted(chunk) if "\r" in text else text)
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        text = "".join([f"{s},{c},{p},{r},{_TASK_CELL[t]}\n" for s, c, p, r, t in chunk])
+        n = len(chunk)
+        if (text.count(",") != 4 * n or text.count("\n") != n
+                or '"' in text or "\r" in text or "\0" in text
+                or not _PLAIN_CELLS.issuperset(
+                    map(type, chain.from_iterable(islice(zip(*chunk), 4))))):
+            text = _csv_lines([(s, c, p, r, _TASK_CELL[t]) for s, c, p, r, t in chunk])
+        handle.write(text)
 
 
 def emit_sessions(

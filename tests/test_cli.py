@@ -263,6 +263,14 @@ class TestSimulateCommand:
     def test_bad_probs_is_usage_error(self, capsys):
         assert main(["simulate", "--category", "c", "--probs", "0.9,0.9"]) == 64
 
+    @pytest.mark.parametrize("probs", ["nan,0.2,0.2,0.2,0.2", "0.2,0.2,inf,0.2,0.2"])
+    def test_non_finite_probs_is_usage_error(self, probs, capsys):
+        # NaN passes both the sign and the sum check unless refused first.
+        assert main(["simulate", "--category", "c", "--probs", probs, "--seed", "3"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("adux: usage error: non-finite probability in (")
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--periods", "0", "periods must be >= 1, got 0"),
         ("--sessions-per-period", "-1", "sessions_per_period must be >= 1, got -1"),
@@ -309,8 +317,20 @@ class TestSimulateCommand:
         '{"category": "c", "probs": [0.2, 0.2, 0.2, 0.2, 0.2], "scale": 15}',
         '{"category": "c", "probs": [0.2, 0.2, 0.2, 0.2, 0.2], "periods": 1e400}',
         '{"category": "c", "probs": [0.2, 0.2, 0.2, 0.2, 0.2], "seed": 1e400}',
+        '{"category": "c", "probs": [NaN, 0.2, 0.2, 0.2, 0.2]}',
+        '{"category": "c", "probs": [0.2, 0.2, 0.2, 0.2, Infinity]}',
+        '{"category": null, "probs": [0.2, 0.2, 0.2, 0.2, 0.2]}',
+        '{"category": "", "probs": [0.2, 0.2, 0.2, 0.2, 0.2]}',
+        '{"category": 7, "probs": [0.2, 0.2, 0.2, 0.2, 0.2]}',
+        '{"category": "c", "probs": [0.2, 0.2, 0.2, 0.2, 0.2], "periods": 1.5}',
+        '{"category": "c", "probs": [0.2, 0.2, 0.2, 0.2, 0.2], "periods": 2.0}',
+        '{"category": "c", "probs": [0.2, 0.2, 0.2, 0.2, 0.2], "periods": true}',
+        '{"category": "c", "probs": [0.2, 0.2, 0.2, 0.2, 0.2], "sessions_per_period": "3"}',
+        '{"category": "c", "probs": [0.2, 0.2, 0.2, 0.2, 0.2], "seed": 1.5}',
     ], ids=["missing-probs", "string", "number", "specs-string", "scale-list",
-            "scale-number", "periods-inf", "seed-inf"])
+            "scale-number", "periods-inf", "seed-inf", "probs-nan", "probs-inf",
+            "category-null", "category-empty", "category-number", "periods-fraction",
+            "periods-float", "periods-bool", "sessions-string", "seed-fraction"])
     def test_bad_config_is_usage_error(self, payload, tmp_path, capsys):
         config = tmp_path / "spec.json"
         config.write_text(payload)

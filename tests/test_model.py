@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -51,6 +53,11 @@ class TestDiscreteDistribution:
     def test_rejects_negative_prob(self):
         with pytest.raises(ValueError, match="negative"):
             DiscreteDistribution(five_point(), (1.1, -0.1, 0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_prob(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            DiscreteDistribution(five_point(), (bad, 0.2, 0.2, 0.2, 0.2))
 
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError, match="sum"):

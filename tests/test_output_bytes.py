@@ -4,7 +4,8 @@ Each command runs on a tiny log and its whole stdout is compared with
 literal text, so a renamed key, a moved field, a changed rounding or a
 different CSV quoting fails here. The log has a category with six periods
 and task outcomes, and one with two periods, no outcomes and a name that
-CSV must quote.
+CSV must quote. `simulate` is pinned where no draw depends on the random
+stream, for a category CSV must quote and one holding a carriage return.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ DIGEST = {
     "pooled": "adux: config digest 54fa2b16c8d2\n",
     "mean-of-sessions": "adux: config digest c7bb5e490563\n",
 }
+
+SIMULATE_FIXED = ["--probs", "0,0,1,0,0", "--completion-p", "1", "--periods", "2",
+                  "--sessions-per-period", "2", "--seed", "42"]
 
 # name: (arguments, stdout); "LOG" and "CHAT" stand for the two log files.
 CASES = {
@@ -449,6 +453,26 @@ chat,5,3.0,3.3968254
 1000,0.0567164079,0.0568051535
 ''',
     ),
+    # Every rating is 3 and every task is completed, so these bytes do not
+    # depend on the random stream.
+    "simulate-quoted": (
+        ["simulate", *SIMULATE_FIXED, "--category", 'search, "beta"'],
+        r'''session_id,category,period,rating,task_completed
+"search, ""beta""-p0-s0","search, ""beta""",0,3,true
+"search, ""beta""-p0-s1","search, ""beta""",0,3,true
+"search, ""beta""-p1-s0","search, ""beta""",1,3,true
+"search, ""beta""-p1-s1","search, ""beta""",1,3,true
+''',
+    ),
+    "simulate-carriage-return": (
+        ["simulate", *SIMULATE_FIXED, "--category", "car\rriage"],
+        '''session_id,category,period,rating,task_completed
+"car\rriage-p0-s0","car\rriage",0,3,true
+"car\rriage-p0-s1","car\rriage",0,3,true
+"car\rriage-p1-s0","car\rriage",1,3,true
+"car\rriage-p1-s1","car\rriage",1,3,true
+''',
+    ),
 }
 
 
@@ -466,5 +490,7 @@ def test_stdout_bytes(name, tmp_path, capsys):
     if argv[0] == "report":
         aggregation = "mean-of-sessions" if "mean-of-sessions" in argv else "pooled"
         assert captured.err == DIGEST[aggregation]
+    elif argv[0] == "simulate":
+        assert captured.err == "adux: simulated 4 sessions (seed 42)\n"
     else:
         assert captured.err == ""

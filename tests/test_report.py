@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adux.bayes import BetaParams, bucs
 from adux.drift import fit_tdc, series_from_dataset
@@ -19,6 +22,7 @@ from adux.errors import (
     UnknownRating,
 )
 from adux.model import Dataset, SKIP_INVALID, STRICT, SessionObservation, five_point
+from adux import report as report_module
 from adux.report import (
     EvalConfig,
     Fig3Spec,
@@ -30,6 +34,7 @@ from adux.report import (
     open_output,
     report_document,
 )
+from oracles import session_csv
 
 CSV_3ROWS = """session_id,category,period,rating,task_completed
 s1,chat,0,4,true
@@ -330,11 +335,47 @@ class TestEmitReport:
         assert not [p for p in tmp_path.iterdir() if p.name != "report.json"]
 
 
+def _rendered(render, *args):
+    """The text a renderer returns, or the csv.Error it raises (Python 3.10
+    refuses a NUL in a cell)."""
+    try:
+        return render(*args)
+    except csv.Error as exc:
+        return ("csv.Error", str(exc))
+
+
+# Mostly plain cells, so that with small chunks clean chunks and chunks
+# that need quoting alternate.
+_AWKWARD_TEXT = st.text(
+    st.sampled_from(["a", "7", ",", '"', "\r", "\n", "\0", " "]) | st.characters(), max_size=5)
+_CELL_TEXT = st.one_of(st.text("abc-0123456789", max_size=6), _AWKWARD_TEXT)
+_OBSERVATIONS = st.lists(
+    st.builds(SessionObservation, _CELL_TEXT, _CELL_TEXT, st.integers(0, 40),
+              st.integers(1, 5), st.sampled_from([True, False, None])),
+    max_size=12)
+
+
 class TestEmitSessions:
     def test_roundtrip_through_loader(self):
         ds = _five_period_dataset()
         text = emit_sessions(ds)
         assert load_sessions(io.StringIO(text)).dataset == ds
+
+    @settings(max_examples=300, deadline=None)
+    @given(observations=_OBSERVATIONS, chunk_rows=st.integers(1, 4))
+    def test_matches_csv_writer_oracle(self, observations, chunk_rows):
+        ds = Dataset(space=five_point(), observations=tuple(observations))
+        with mock.patch.object(report_module, "_CHUNK_ROWS", chunk_rows):
+            assert _rendered(emit_sessions, ds) == _rendered(session_csv, ds.observations)
+
+    def test_none_session_id_is_an_empty_cell(self):
+        ds = Dataset(space=five_point(), observations=(
+            SessionObservation("s1", "chat", 0, 4, True),
+            SessionObservation(None, "chat", 1, 2, None),
+        ))
+        text = emit_sessions(ds)
+        assert text == session_csv(ds.observations)
+        assert text.endswith("\ns1,chat,0,4,true\n,chat,1,2,\n")
 
 
 class TestPlotData:
