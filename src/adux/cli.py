@@ -241,6 +241,8 @@ def _spec(fields: dict[str, Any], seed: int) -> GeneratorSpec:
         # int() would cut 1.5 to 1, and take true for 1, without a word.
         if type(fields[key]) is not int:
             raise ValueError(f"{key} must be an integer, got {fields[key]!r}")
+    if type(fields["completion_p"]) not in (int, float):  # float() takes "0.5" and true
+        raise ValueError(f"completion_p must be a number, got {fields['completion_p']!r}")
     space = ResponseSpace.from_range(*fields["scale"])
     return GeneratorSpec(
         category=category,
@@ -300,7 +302,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if any(spec.space != specs[0].space for spec in specs):
         raise _UsageError("all simulated categories must share one scale")
     rows = sum(spec.periods * spec.sessions_per_period for spec in specs)
-    print(f"adux: simulated {rows} sessions (seed {seed})", file=sys.stderr)
+    seeds = [spec.seed for spec in specs]
+    if seeds == list(range(seed, seed + len(specs))):  # spec i drew from seed + i
+        named = f"seed {seed}"
+    else:  # a config entry set its own seed
+        named = ("seed " if len(seeds) == 1 else "seeds ") + ", ".join(map(str, seeds))
+    print(f"adux: simulated {rows} sessions ({named})", file=sys.stderr)
     with open_output(args.out or sys.stdout) as handle:
         write_sessions(chain.from_iterable(map(gen_session_rows, specs)), handle)
     return EXIT_OK

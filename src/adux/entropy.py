@@ -87,15 +87,24 @@ class GroupedEntropy:
     results: tuple[tuple[GroupKey, EntropyBits], ...]
 
 
-def _entropy_of_counts(counts: list[int]) -> float:
+def _entropy_of_counts(counts: tuple[int, ...]) -> float:
     n = sum(counts)
     return _entropy_bits(tuple(c / n for c in counts))
 
 
 def _mean_entropy(parts: list[list[int]], space: ResponseSpace) -> EntropyBits:
     """IEI of a group as the unweighted mean over its parts' rating counts:
-    its sessions, or the whole group as one part when pooled."""
-    values = [_entropy_of_counts(counts) for counts in parts]
+    its sessions, or the whole group as one part when pooled.
+
+    Sessions of a few ratings share few count vectors, so each distinct
+    vector's entropy is computed once; the sum keeps the parts' order."""
+    known: dict[tuple[int, ...], float] = {}
+    values = []
+    for counts in map(tuple, parts):
+        value = known.get(counts)
+        if value is None:
+            value = known[counts] = _entropy_of_counts(counts)
+        values.append(value)
     mean_value = sum(values) / len(values)
     return EntropyBits(
         value=mean_value,

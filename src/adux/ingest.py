@@ -16,6 +16,13 @@ rarely repeat, it falls back to the ordered loop, numbering rows as
 before: counts, session order, rejections and strict mode's first error
 are the same either way. JSON lines, mean-of-sessions counts and
 :func:`load_sessions` always take the ordered loop.
+
+JSON lines rarely repeat, as each carries its own timestamp, so they are
+read one by one. Each takes one ``raw_decode``; a line that decodes to an
+object followed by nothing but JSON whitespace is read from that alone.
+Any other line (blank, not an object, or not JSON from its first
+character to its last) falls back to ``json.loads``, which gives it the
+reason and detail it always had.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import csv
 import json
 from collections import Counter
 from collections.abc import Callable, Iterator
-from datetime import datetime, timezone
+from datetime import datetime
 from itertools import chain, islice
 from operator import itemgetter, methodcaller
 from pathlib import Path
@@ -51,15 +58,18 @@ _FORMAT_ALIASES = {"csv": FORMAT_CSV, "jsonl": FORMAT_JSONL, "json-lines": FORMA
 _REQUIRED_COLUMNS = ("session_id", "category", "period", "rating")
 
 
-def _parse_rfc3339(text: str) -> datetime:
-    """RFC 3339 timestamp to an aware UTC datetime."""
+def _utc_day(text: str) -> int:
+    """Ordinal of the UTC day of an RFC 3339 timestamp; a naive one is UTC.
+
+    The same day as ``astimezone(timezone.utc).date().toordinal()``, and
+    the same OverflowError where the UTC time falls outside years 1-9999.
+    """
     t = text.strip()
-    if t.endswith(("Z", "z")):
+    if t.endswith(("Z", "z")):  # fromisoformat reads no Z before Python 3.11
         t = t[:-1] + "+00:00"
     dt = datetime.fromisoformat(t)
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc)
+    off = dt.utcoffset()
+    return (dt - off if off else dt).toordinal()
 
 
 # What a reader passes on per row: the raw value of each field (None when
@@ -217,8 +227,22 @@ def _csv_records(handle: IO[str], counts: SessionCounts | None = None) -> Iterat
         raise MalformedRow(f"line {counted + reader.line_num}: unreadable CSV: {exc}") from None
 
 
+# json.loads reads an object followed by nothing but these characters as
+# raw_decode reads it; see the module docstring.
+_raw_decode = json.JSONDecoder().raw_decode
+_JSON_SPACE = " \t\n\r"
+
+
 def _jsonl_records(handle: IO[str]) -> Iterator[_RawRecord]:
     for line_num, line in enumerate(handle, start=1):
+        try:
+            obj, end = _raw_decode(line)
+        except (ValueError, RecursionError):
+            pass  # json.loads below names the fault
+        else:
+            if isinstance(obj, dict) and not line[end:].strip(_JSON_SPACE):
+                yield line_num, tuple(map(obj.get, _FIELDS))
+                continue
         if not line.strip():
             continue
         try:
@@ -265,11 +289,10 @@ def _scan(
         session_id, category, period, rating, task, ts = values
         if ts is not None and ts != "" and (period is None or period == ""):
             try:
-                stamp = _parse_rfc3339(str(ts))
+                ordinal = _utc_day(str(ts))
             except (ValueError, OverflowError):  # OverflowError: out of range in UTC
                 validator.reject(number, MalformedRow(f"invalid RFC 3339 timestamp {ts!r}"))
                 continue
-            ordinal = stamp.date().toordinal()
             row = validator.check(number, session_id, category, 0, rating, task)
             if row is not None:
                 origin = ordinal if origin is None else min(origin, ordinal)

@@ -327,10 +327,14 @@ class TestSimulateCommand:
         '{"category": "c", "probs": [0.2, 0.2, 0.2, 0.2, 0.2], "periods": true}',
         '{"category": "c", "probs": [0.2, 0.2, 0.2, 0.2, 0.2], "sessions_per_period": "3"}',
         '{"category": "c", "probs": [0.2, 0.2, 0.2, 0.2, 0.2], "seed": 1.5}',
+        '{"category": "c", "probs": [0.2, 0.2, 0.2, 0.2, 0.2], "completion_p": "0.5"}',
+        '{"category": "c", "probs": [0.2, 0.2, 0.2, 0.2, 0.2], "completion_p": true}',
+        '{"category": "c", "probs": [0.2, 0.2, 0.2, 0.2, 0.2], "completion_p": null}',
     ], ids=["missing-probs", "string", "number", "specs-string", "scale-list",
             "scale-number", "periods-inf", "seed-inf", "probs-nan", "probs-inf",
             "category-null", "category-empty", "category-number", "periods-fraction",
-            "periods-float", "periods-bool", "sessions-string", "seed-fraction"])
+            "periods-float", "periods-bool", "sessions-string", "seed-fraction",
+            "completion-string", "completion-bool", "completion-null"])
     def test_bad_config_is_usage_error(self, payload, tmp_path, capsys):
         config = tmp_path / "spec.json"
         config.write_text(payload)
@@ -338,6 +342,33 @@ class TestSimulateCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"adux: usage error: bad simulate config {config}: ")
+
+    def test_integer_completion_p_is_a_number(self, tmp_path, capsys):
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({"category": "c", "probs": [0.2] * 5,
+                                      "completion_p": 1, "periods": 1,
+                                      "sessions_per_period": 2}))
+        assert main(["simulate", "--config", str(config)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 2 and all(row.endswith(",true") for row in rows)
+
+    @pytest.mark.parametrize("entries, seeds", [
+        ([{}, {}], "seed 42"),
+        ([{"seed": 42}, {"seed": 43}], "seed 42"),
+        ([{"seed": 1}], "seed 1"),
+        ([{"seed": 1}, {"seed": 7}], "seeds 1, 7"),
+        ([{}, {"seed": 7}, {}], "seeds 42, 7, 44"),
+    ], ids=["defaults", "defaults-spelled-out", "one-own", "two-own", "mixed"])
+    def test_summary_names_the_seeds_that_made_the_file(self, entries, seeds, tmp_path,
+                                                        capsys, monkeypatch):
+        monkeypatch.delenv("ADUX_SEED", raising=False)
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps([
+            {"category": f"c{i}", "probs": [0.2] * 5, "periods": 1, "sessions_per_period": 2,
+             **entry} for i, entry in enumerate(entries)]))
+        assert main(["simulate", "--config", str(config)]) == 0
+        assert capsys.readouterr().err == (
+            f"adux: simulated {2 * len(entries)} sessions ({seeds})\n")
 
     def test_empty_config_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "spec.json"

@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -424,3 +426,212 @@ class TestDistinctLineCount:
             for _ in range(n):
                 repeated.add("s", category, period, rating, task)
         assert _same_counts(weighted, repeated)
+
+
+def _jsonl_by_loads(handle):
+    """The JSON-lines reader with one json.loads per line: the reference
+    that the raw_decode fast path must read alike."""
+    for line_num, line in enumerate(handle, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            yield line_num, f"invalid JSON: {exc.msg}"
+            continue
+        except RecursionError:
+            yield line_num, "invalid JSON: nested too deeply"
+            continue
+        except ValueError:
+            yield line_num, "invalid JSON: integer too long"
+            continue
+        if not isinstance(obj, dict):
+            yield line_num, "JSON line is not an object"
+            continue
+        yield line_num, tuple(map(obj.get, _FIELDS))
+
+
+def _jsonl_outcomes(text):
+    """What `tally_sessions` makes of a JSON-lines log, in every mode."""
+    outcomes = []
+    for newline in (None, ""):  # as stdin reads it, and as a file does
+        for strictness in (STRICT, SKIP_INVALID):
+            for aggregation in (POOLED, MEAN_OF_SESSIONS):
+                def run():
+                    counts, rejections = tally_sessions(
+                        io.StringIO(text, newline=newline), fmt="jsonl",
+                        strictness=strictness, aggregation=aggregation)
+                    return counts, list(counts.sessions), [
+                        (r.row, r.reason, r.detail) for r in rejections]
+                outcomes.append(_outcome(run))
+    return outcomes
+
+
+def _assert_read_as_by_loads(text, patch):
+    got = _jsonl_outcomes(text)
+    patch.setattr(ingest, "_jsonl_records", _jsonl_by_loads)
+    assert got == _jsonl_outcomes(text)
+
+
+GOOD_LINE = '{"session_id": "s1", "category": "a", "period": 0, "rating": 4}'
+DEEP = "[" * 100_000 + "]" * 100_000
+TOO_LONG = "1" * (getattr(sys, "get_int_max_str_digits", lambda: 4300)() + 1)
+JSON_FRAGMENTS = [
+    "{", "}", "[", "]", ":", ",", " ", "\t", "\f", "\ufeff", "\u00a0", "\r", "x",
+    '"session_id"', '"category"', '"period"', '"rating"', '"timestamp"', '"task_completed"',
+    '"s1"', '""', '"a"', '"s\\u0031"', '"\\ud800"', "0", "3", "-0.0", "4.0", "1e400",
+    "NaN", "Infinity", "-Infinity", "true", "null", '"2024-03-01T10:00:00Z"',
+]
+EDGES = ["", "", "", " ", "\t", "\f", "\u00a0", "\ufeff", "\r", " x", "{}", "]"]
+
+
+@st.composite
+def jsonl_fragment_logs(draw):
+    """Lines of JSON fragments, or objects with odd characters around them."""
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.booleans()):
+            body = "".join(draw(st.lists(st.sampled_from(JSON_FRAGMENTS), max_size=12)))
+        else:
+            obj = {name: draw(st.sampled_from(values)) for name, values in JSON_VALUES.items()}
+            body = json.dumps({k: v for k, v in obj.items() if v is not ABSENT},
+                              separators=draw(st.sampled_from([(", ", ": "), (",", ":")])))
+            body = draw(st.sampled_from(EDGES)) + body + draw(st.sampled_from(EDGES))
+        lines.append(body + draw(st.sampled_from(["\n", "\r\n", "\r", ""])))
+    return "".join(lines)
+
+
+class TestJsonLinesFastPath:
+    """A JSON line is read with one raw_decode when that reads it as
+    json.loads would; every other line takes json.loads."""
+
+    @given(text=jsonl_fragment_logs())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_reads_as_json_loads_reads(self, monkeypatch, text):
+        with monkeypatch.context() as patch:
+            _assert_read_as_by_loads(text, patch)
+
+    @pytest.mark.parametrize("line", [
+        "\ufeff" + GOOD_LINE,
+        " " + GOOD_LINE,
+        "\t" + GOOD_LINE,
+        "\f" + GOOD_LINE,
+        "\u00a0" + GOOD_LINE,
+        GOOD_LINE + " ",
+        GOOD_LINE + "\t",
+        GOOD_LINE + "\f",
+        GOOD_LINE + "\u00a0",
+        GOOD_LINE + " x",
+        GOOD_LINE + GOOD_LINE,
+        GOOD_LINE + "\r",
+        "",
+        "   ",
+        "\f",
+        '{"session_id": "s1", "category": "a", "period": 0, "rating": 1, "rating": 4}',
+        '{"session_id": "s1", "category": "a", "period": 0, "rating": 4, '
+        '"context": {"tools": [1, {"name": "search"}, []], "ui": {}}}',
+        '{"session_id": "s1", "category": "a", "period": 0, "rating": {"value": [4]}}',
+        '{"session_id": "s1", "category": "a", "period": 0, "rating": NaN}',
+        '{"session_id": "s1", "category": "a", "period": Infinity, "rating": 4}',
+        '{"session_id": "s1", "category": "a", "timestamp": -Infinity, "rating": 4}',
+        '{"session_id": "s1", "category": "a", "period": 0, "rating": ' + TOO_LONG + "}",
+        '{"session_id": "s1", "category": "a", "period": 0, "rating": 4, "x": ' + DEEP + "}",
+        DEEP,
+        '{"session_id": "", "category": "a", "period": 0, "rating": 4}',
+        '{"session_id": "s\\u0031\\"\\n", "category": "a", "period": 0, "rating": 4}',
+        '{"session_id": "\\ud800", "category": "a", "period": 0, "rating": 4}',
+        '["s1", "a", 0, 4]',
+        '"s1"',
+    ], ids=["bom", "lead-space", "lead-tab", "lead-formfeed", "lead-nbsp", "trail-space",
+            "trail-tab", "trail-formfeed", "trail-nbsp", "extra-data", "two-objects",
+            "lone-cr", "empty", "spaces", "formfeed", "duplicate-keys", "nested",
+            "nested-rating", "nan", "infinity", "minus-infinity", "integer-too-long",
+            "deep-inside", "deep", "empty-session", "escaped-session", "surrogate-session",
+            "array", "string"])
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_named_lines_read_as_json_loads_reads(self, monkeypatch, line, ending):
+        text = "".join(x + ending for x in (GOOD_LINE, line, GOOD_LINE.replace("s1", "s2")))
+        _assert_read_as_by_loads(text, monkeypatch)
+
+    def test_a_clean_object_line_takes_no_json_loads(self, monkeypatch):
+        calls = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda *a, **k: calls.append(a) or loads(*a, **k))
+        text = GOOD_LINE + "\r\n" + GOOD_LINE + "\n" + " " + GOOD_LINE + "\n"
+        counts, rejections = tally_sessions(io.StringIO(text, newline=""), fmt="jsonl",
+                                            strictness=SKIP_INVALID)
+        # json.loads, not raw_decode, skips leading JSON whitespace.
+        assert len(counts) == 3 and rejections == ()
+        assert calls == [(" " + GOOD_LINE + "\n",)]
+
+
+def _utc_day_by_astimezone(text):
+    """The UTC day as the reader once took it, through astimezone."""
+    t = text.strip()
+    if t.endswith(("Z", "z")):
+        t = t[:-1] + "+00:00"
+    dt = datetime.fromisoformat(t)
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return dt.astimezone(timezone.utc).date().toordinal()
+
+
+def _day_outcome(day_of, text):
+    try:
+        return day_of(text)
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+OUT_OF_RANGE = ["0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00"]
+
+
+class TestUtcDay:
+    @pytest.mark.parametrize("text", [
+        "2024-03-01T23:30:00-05:00",  # the next UTC day
+        "2024-03-02T01:00:00+02:00",  # the previous UTC day
+        "2024-12-31T23:00:00-01:00",  # the next UTC year
+        "2024-03-01T00:00:00+00:00",
+        "2024-03-01T10:00:00Z",
+        "2024-03-01T10:00:00z",
+        " 2024-03-01T10:00:00Z\n",
+        "2024-03-08T12:00:00",  # naive: read as UTC
+        "2024-03-08T23:59:59.999999",
+        "2024-03-01T23:59:59.999999-00:00:01",
+        "2024-03-01T23:59:30.5-00:00:45",
+        "2024-03-02T00:00:30+00:00:45",
+        "2024-03-02T00:00:00+00:00:00.000001",
+        "0001-01-01T00:00:00-01:00",
+        "9999-12-31T23:59:59+01:00",
+        *OUT_OF_RANGE,
+        "not-a-time",
+        "",
+        "Z",
+        "2024-03-01T10:00:00+24:00",
+    ])
+    def test_matches_astimezone(self, text):
+        assert _day_outcome(ingest._utc_day, text) == _day_outcome(_utc_day_by_astimezone, text)
+
+    @given(moment=st.datetimes(), offset=st.integers(-86_399_999_999, 86_399_999_999),
+           zulu=st.booleans())
+    def test_matches_astimezone_at_any_offset(self, moment, offset, zulu):
+        zone = timezone(timedelta(microseconds=offset))
+        text = moment.replace(tzinfo=zone).isoformat()
+        if zulu:
+            text = moment.isoformat() + "Z"
+        assert _day_outcome(ingest._utc_day, text) == _day_outcome(_utc_day_by_astimezone, text)
+
+    @pytest.mark.parametrize("stamp", OUT_OF_RANGE)
+    def test_out_of_range_in_utc_is_an_invalid_timestamp(self, stamp):
+        line = json.dumps({"session_id": "s1", "category": "a", "timestamp": stamp,
+                           "rating": 4})
+        detail = f"invalid RFC 3339 timestamp {stamp!r}"
+        counts, rejections = tally_sessions(io.StringIO(line + "\n" + GOOD_LINE + "\n"),
+                                            fmt="jsonl", strictness=SKIP_INVALID)
+        assert len(counts) == 1
+        assert [(r.row, r.reason, r.detail) for r in rejections] == [
+            (1, "malformed-row", detail)]
+        with pytest.raises(AduxError) as raised:
+            tally_sessions(io.StringIO(line + "\n"), fmt="jsonl")
+        assert str(raised.value) == f"row 1: {detail}"
