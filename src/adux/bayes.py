@@ -45,7 +45,8 @@ _LEVEL_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class BetaParams:
-    """Shape parameters of a Beta distribution; both positive and finite."""
+    """Shape parameters of a Beta distribution; both positive and finite,
+    and so is their sum."""
 
     alpha: float
     beta: float
@@ -57,6 +58,8 @@ class BetaParams:
             )
         if not (self.alpha < math.inf and self.beta < math.inf):  # NaN fails this too
             raise ValueError(f"Beta parameters must be finite, got ({self.alpha}, {self.beta})")
+        if self.alpha + self.beta == math.inf:  # no density, mean or interval to solve for
+            raise ValueError("alpha + beta overflows a float")
 
     def mean(self) -> float:
         return self.alpha / (self.alpha + self.beta)

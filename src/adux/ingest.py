@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from collections import Counter
 from collections.abc import Callable, Iterator
 from datetime import datetime
@@ -58,18 +59,38 @@ _FORMAT_ALIASES = {"csv": FORMAT_CSV, "jsonl": FORMAT_JSONL, "json-lines": FORMA
 _REQUIRED_COLUMNS = ("session_id", "category", "period", "rating")
 
 
+# RFC 3339's date-time (section 5.6) with its fraction of any length, and
+# two allowances: no offset, which reads as UTC, and an offset with seconds
+# as Python's isoformat() writes it. Whatever else datetime.fromisoformat
+# takes differs between Python versions, so the shape is checked first.
+_RFC3339 = re.compile(
+    r"\d{4}-\d\d-\d\d[Tt ]\d\d:\d\d:\d\d(?:\.\d+)?"
+    r"(?:[Zz]|[+-]\d\d:[0-5]\d(?::[0-5]\d(?:\.\d{6})?)?)?",
+    re.ASCII,
+)
+
+
 def _utc_day(text: str) -> int:
     """Ordinal of the UTC day of an RFC 3339 timestamp; a naive one is UTC.
 
     The same day as ``astimezone(timezone.utc).date().toordinal()``, and
     the same OverflowError where the UTC time falls outside years 1-9999.
+    A fraction past six digits is cut, which never moves the day.
     """
     t = text.strip()
-    if t.endswith(("Z", "z")):  # fromisoformat reads no Z before Python 3.11
-        t = t[:-1] + "+00:00"
-    dt = datetime.fromisoformat(t)
-    off = dt.utcoffset()
-    return (dt - off if off else dt).toordinal()
+    if _RFC3339.fullmatch(t) is None:
+        raise ValueError(f"not an RFC 3339 date-time: {text!r}")
+    if t[-1] in "Zz":  # UTC, as a time without an offset is read
+        t = t[:-1]
+    try:
+        dt = datetime.fromisoformat(t)
+    except ValueError:
+        # Before Python 3.11 fromisoformat reads a fraction of 3 or 6 digits
+        # only; the first fraction is the time's, or an offset's 6 digits.
+        six = re.sub(r"\.(\d+)", lambda m: "." + m[1][:6].ljust(6, "0"), t, count=1)
+        dt = datetime.fromisoformat(six)
+    zone = dt.tzinfo  # a fixed-offset timezone: utcoffset needs no moment
+    return (dt - zone.utcoffset(None) if zone else dt).toordinal()
 
 
 # What a reader passes on per row: the raw value of each field (None when

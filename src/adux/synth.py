@@ -4,32 +4,31 @@ Serves as the oracle backbone for metric-recovery tests: every generator
 knows the exact distribution, drift line, or completion probability it
 samples from, so recovered metrics can be compared against truth.
 
-Randomness comes from numpy's PCG64 generator seeded per spec; identical
-specs produce identical output within a build. Gaussian noise is produced
-by the Box-Muller transform of uniform draws. Statistical tolerances, not
-golden random streams, are the compatibility contract across builds.
+Randomness comes from the standard library's ``random.Random`` seeded per
+spec, and only through its ``random()`` method, whose sequence for a given
+seed Python keeps the same across versions; identical specs therefore
+produce identical output on every supported Python. Every other law is
+built from those uniforms: rating codes by inverse CDF, task outcomes and
+Binomial counts by comparing uniforms with p, and Gaussian noise by the
+Box-Muller transform of uniform pairs.
 
 :func:`gen_session_rows` draws a spec's sessions one period at a time, so
 ``adux simulate`` writes them as they are drawn; :func:`gen_ratings`
-collects the same rows into a :class:`~adux.model.Dataset`. Only the
-generator functions need numpy, and they import it when called, so that
-importing :mod:`adux` (and running ``report`` or ``bucs``) never loads it.
+collects the same rows into a :class:`~adux.model.Dataset`.
 """
 
 from __future__ import annotations
 
 import math
+import random
+from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import repeat
-from typing import TYPE_CHECKING
+from itertools import accumulate, repeat
 
 from .bayes import TrialSummary
 from .drift import UsabilitySeries
 from .model import Dataset, DiscreteDistribution, ResponseSpace, SessionObservation, five_point
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -65,6 +64,8 @@ class GeneratorSpec:
             raise ValueError(
                 f"sessions_per_period must be >= 1, got {self.sessions_per_period}"
             )
+        if self.seed < 0:  # random.Random would draw -n's stream from n's
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if isinstance(self.true_distribution, tuple):
             if len(self.true_distribution) != self.periods:
                 raise ValueError(
@@ -87,29 +88,22 @@ class GeneratorSpec:
         return self.true_distribution
 
 
-def _sample_codes(
-    rng: np.random.Generator, dist: DiscreteDistribution, size: int
-) -> np.ndarray:
-    """Inverse-CDF sampling of rating codes from uniform draws."""
-    import numpy as np
-
-    cum = np.cumsum(np.asarray(dist.probs, dtype=float))
-    idx = np.searchsorted(cum, rng.random(size), side="right")
-    idx = np.minimum(idx, len(dist.probs) - 1)  # cumsum may top out below 1.0
-    return np.asarray(dist.space.codes)[idx]
+def _sample_codes(rng: random.Random, dist: DiscreteDistribution, size: int) -> list[int]:
+    """Inverse-CDF sampling of ``size`` rating codes, one uniform each."""
+    cum = list(accumulate(dist.probs))
+    # cum may top out below 1.0: a uniform past it takes the last code.
+    cum[-1] = math.inf
+    codes, u = dist.space.codes, rng.random
+    return [codes[bisect_right(cum, u())] for _ in range(size)]
 
 
-def _box_muller(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Standard normals via the Box-Muller transform of uniforms."""
-    import numpy as np
-
-    pairs = (size + 1) // 2
-    u1 = 1.0 - rng.random(pairs)  # shift to (0, 1] so log never sees 0
-    u2 = rng.random(pairs)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    out = np.empty(pairs * 2)
-    out[0::2] = radius * np.cos(2.0 * np.pi * u2)
-    out[1::2] = radius * np.sin(2.0 * np.pi * u2)
+def _box_muller(rng: random.Random, size: int) -> list[float]:
+    """Standard normals via the Box-Muller transform of uniform pairs."""
+    out: list[float] = []
+    for _ in range((size + 1) // 2):
+        radius = math.sqrt(-2.0 * math.log(1.0 - rng.random()))  # log never sees 0
+        angle = 2.0 * math.pi * rng.random()
+        out += (radius * math.cos(angle), radius * math.sin(angle))
     return out[:size]
 
 
@@ -119,16 +113,16 @@ def gen_session_rows(spec: GeneratorSpec) -> Iterator[tuple[str, str, int, int, 
 
     Ratings are drawn from the spec's (possibly per-period) distribution and
     each session gets a Bernoulli(completion_p) task outcome. The draws are
-    made one period at a time, as the rows are consumed: first the period's
-    codes, then its outcomes. Deterministic for a fixed seed.
+    made one period at a time, as the rows are consumed: first one uniform
+    per session for the period's codes, then one per session for its
+    outcomes. Deterministic for a fixed seed.
     """
-    import numpy as np
-
-    rng = np.random.default_rng(spec.seed)
+    rng = random.Random(spec.seed)
+    u, p = rng.random, spec.completion_p
     size = spec.sessions_per_period
     for t in range(spec.periods):
-        codes = _sample_codes(rng, spec.distribution_for(t), size).tolist()
-        completed = (rng.random(size) < spec.completion_p).tolist()
+        codes = _sample_codes(rng, spec.distribution_for(t), size)
+        completed = [u() < p for _ in range(size)]
         prefix = f"{spec.category}-p{t}-s"
         yield from zip([f"{prefix}{i}" for i in range(size)],
                        repeat(spec.category), repeat(t), codes, completed)
@@ -146,29 +140,27 @@ def gen_drift_series(spec: GeneratorSpec) -> UsabilitySeries:
     u(t) = true_beta0 + true_beta1 * t + noise, clamped to the rating scale
     so no synthetic mean leaves the admissible range.
     """
-    import numpy as np
-
-    rng = np.random.default_rng(spec.seed)
-    noise = spec.noise_sd * _box_muller(rng, spec.periods)
+    noise = _box_muller(random.Random(spec.seed), spec.periods)
     lo, hi = float(spec.space.min_code), float(spec.space.max_code)
     points = []
     for t in range(spec.periods):
-        u = spec.true_beta0 + spec.true_beta1 * t + noise[t]
+        u = spec.true_beta0 + spec.true_beta1 * t + spec.noise_sd * noise[t]
         points.append((t, min(max(u, lo), hi)))
     return UsabilitySeries(points=tuple(points))
 
 
 def gen_trials(completion_p: float, n_trials: int, seed: int) -> TrialSummary:
-    """Binomial(N, completion_p) draw of completion counts, seeded."""
+    """Binomial(N, completion_p) draw of completion counts, seeded: the
+    number of N uniforms that fall below completion_p."""
     if not 0.0 <= completion_p <= 1.0:
         raise ValueError(f"completion_p must lie in [0, 1], got {completion_p}")
     if n_trials < 0:
         raise ValueError(f"trial count must be >= 0, got {n_trials}")
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    u = random.Random(seed).random
     return TrialSummary(
-        completions=int(rng.binomial(n_trials, completion_p)),
+        completions=sum(u() < completion_p for _ in range(n_trials)),
         trials=n_trials,
     )
 

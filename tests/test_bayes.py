@@ -51,6 +51,16 @@ class TestTypes:
         with pytest.raises(ValueError, match="must be finite"):
             BetaParams(alpha, beta)
 
+    @pytest.mark.parametrize("alpha, beta", [(1e308, 1e308), (1.7e308, 1e307)])
+    def test_beta_params_sum_finite(self, alpha, beta):
+        # Each shape is finite but their sum is not: no posterior to solve for.
+        with pytest.raises(ValueError, match=r"alpha \+ beta overflows a float"):
+            BetaParams(alpha, beta)
+
+    def test_bucs_refuses_an_overflowing_prior_before_any_numerics(self):
+        with pytest.raises(ValueError, match=r"alpha \+ beta overflows a float"):
+            bucs(BetaParams(1e308, 1e308), TrialSummary(3, 10), 0.95)
+
     def test_trial_summary_bounds(self):
         with pytest.raises(ValueError):
             TrialSummary(completions=5, trials=4)

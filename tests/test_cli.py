@@ -281,6 +281,13 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert captured.err == f"adux: usage error: {message}\n"
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        # random.Random would draw the stream of -1 from 1.
+        assert main(["simulate", "--preset", "all", "--seed", "-1"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "adux: usage error: seed must be >= 0, got -1\n"
+
     def test_flags_and_config_share_defaults(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("ADUX_SEED", raising=False)
         probs = [0.1, 0.2, 0.3, 0.2, 0.2]
@@ -437,17 +444,21 @@ class TestSimulateStreaming:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
 
 
-def test_numpy_is_loaded_only_to_synthesize(tmp_path):
+def test_every_command_and_generator_runs_without_numpy(tmp_path):
     log = tmp_path / "sessions.csv"
     log.write_text(SESSIONS)
+    simulated = tmp_path / "simulated.csv"
     script = f"""
 import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
 import adux, adux.cli
 assert adux.cli.main(["report", "--input", {str(log)!r}, "--no-meta"]) == 0
 assert adux.cli.main(["bucs", "--n", "7", "--N", "10"]) == 0
-assert "numpy" not in sys.modules, "numpy loaded"
-assert len(adux.gen_ratings(adux.category_presets()[0])) == 8 * 40
-assert "numpy" in sys.modules
+assert adux.cli.main(["simulate", "--preset", "all", "--out", {str(simulated)!r}]) == 0
+spec = adux.category_presets()[0]
+assert len(adux.gen_ratings(spec)) == 8 * 40
+assert len(adux.gen_drift_series(spec).points) == 8
+assert adux.gen_trials(0.5, 100, seed=1).trials == 100
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
@@ -455,6 +466,7 @@ assert "numpy" in sys.modules
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+    assert len(simulated.read_text().splitlines()) == 1 + 5 * 8 * 40
 
 
 def test_report_loads_no_openssl(tmp_path):

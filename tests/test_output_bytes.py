@@ -5,7 +5,9 @@ literal text, so a renamed key, a moved field, a changed rounding or a
 different CSV quoting fails here. The log has a category with six periods
 and task outcomes, and one with two periods, no outcomes and a name that
 CSV must quote. `simulate` is pinned where no draw depends on the random
-stream, for a category CSV must quote and one holding a carriage return.
+stream, for a category CSV must quote and one holding a carriage return,
+and for one small seeded stream, which must give the same bytes on every
+supported Python.
 """
 
 from __future__ import annotations
@@ -473,6 +475,21 @@ chat,5,3.0,3.3968254
 "car\rriage-p1-s1","car\rriage",1,3,true
 ''',
     ),
+    # Drawn through random.Random(42).random(), whose sequence Python keeps
+    # the same across versions.
+    "simulate-seeded": (
+        ["simulate", "--category", "chat", "--probs", "0.1,0.2,0.3,0.2,0.2",
+         "--completion-p", "0.5", "--periods", "2", "--sessions-per-period", "3",
+         "--seed", "42"],
+        '''session_id,category,period,rating,task_completed
+chat-p0-s0,chat,0,4,true
+chat-p0-s1,chat,0,1,false
+chat-p0-s2,chat,0,2,false
+chat-p1-s0,chat,1,5,true
+chat-p1-s1,chat,1,1,true
+chat-p1-s2,chat,1,3,false
+''',
+    ),
 }
 
 
@@ -491,6 +508,7 @@ def test_stdout_bytes(name, tmp_path, capsys):
         aggregation = "mean-of-sessions" if "mean-of-sessions" in argv else "pooled"
         assert captured.err == DIGEST[aggregation]
     elif argv[0] == "simulate":
-        assert captured.err == "adux: simulated 4 sessions (seed 42)\n"
+        sessions = expected.count("\n") - 1  # one line per session, after the header
+        assert captured.err == f"adux: simulated {sessions} sessions (seed 42)\n"
     else:
         assert captured.err == ""

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+import random
+from bisect import bisect_right
+from itertools import accumulate
 
-import numpy as np
 import pytest
 
 from adux import synth
@@ -55,6 +57,7 @@ class TestGeneratorSpec:
             {"noise_sd": -0.1},
             {"periods": 0},
             {"sessions_per_period": 0},
+            {"seed": -1},
         ],
     )
     def test_validation(self, bad):
@@ -128,19 +131,29 @@ class TestGenRatings:
 
 class TestGenSessionRows:
     def test_draws_codes_then_outcomes_per_period(self):
-        # The stream order is part of the contract: per period, the
-        # period's uniforms for the codes, then those for the outcomes.
+        # The stream order is part of the contract: per period, one uniform
+        # per session for the codes, then one per session for the outcomes.
         dists = discretized_line_distributions(five_point(), 2.0, 0.5, 0.8, 3)
         spec = _spec(true_distribution=dists, periods=3, sessions_per_period=50)
-        rng = np.random.default_rng(spec.seed)
+        rng = random.Random(spec.seed)
         expected = []
         for t in range(3):
-            cum = np.cumsum(dists[t].probs)
-            idx = np.minimum(np.searchsorted(cum, rng.random(50), side="right"), 4)
-            done = rng.random(50) < spec.completion_p
-            expected += [(f"chat-p{t}-s{i}", "chat", t, int(idx[i]) + 1, bool(done[i]))
+            cum = list(accumulate(dists[t].probs))
+            idx = [min(bisect_right(cum, rng.random()), 4) for _ in range(50)]
+            done = [rng.random() < spec.completion_p for _ in range(50)]
+            expected += [(f"chat-p{t}-s{i}", "chat", t, idx[i] + 1, done[i])
                          for i in range(50)]
         assert list(gen_session_rows(spec)) == expected
+
+    def test_uniform_past_the_last_cumulative_prob_takes_the_last_code(self):
+        # Cumulative sums may top out below 1.0; as with a clamp, a uniform
+        # beyond them falls in the last code, even one of probability 0.
+        class Top:
+            def random(self):
+                return 1.0 - 2.0 ** -53
+
+        dist = DiscreteDistribution(five_point(), (0.1, 0.2, 0.7 - 1e-12, 0.0, 0.0))
+        assert synth._sample_codes(Top(), dist, 3) == [5, 5, 5]
 
     def test_draws_one_period_at_a_time(self, monkeypatch):
         calls = []
@@ -176,6 +189,18 @@ class TestGenDriftSeries:
         spec = _spec(noise_sd=0.4, periods=8)
         assert gen_drift_series(spec) == gen_drift_series(spec)
 
+    def test_noise_is_standard_normal_times_sd(self):
+        spec = _spec(true_beta0=3.0, noise_sd=0.5, periods=4001, seed=31)
+        noise = [u - 3.0 for _, u in gen_drift_series(spec).points]
+        mean = sum(noise) / len(noise)
+        sd = math.sqrt(sum((e - mean) ** 2 for e in noise) / (len(noise) - 1))
+        assert mean == pytest.approx(0.0, abs=0.05)  # about six standard errors
+        assert sd == pytest.approx(0.5, abs=0.05)
+        # The two normals of a Box-Muller pair are independent.
+        pairs = list(zip(noise[0::2], noise[1::2]))
+        corr = sum(a * b for a, b in pairs) / (len(pairs) * 0.25)
+        assert corr == pytest.approx(0.0, abs=0.1)  # about four standard errors
+
 
 class TestGenTrials:
     def test_certain_completion(self):
@@ -191,11 +216,18 @@ class TestGenTrials:
     def test_deterministic(self):
         assert gen_trials(0.4, 50, seed=9) == gen_trials(0.4, 50, seed=9)
 
+    def test_counts_the_uniforms_below_p(self):
+        # An exact Binomial draw, not a normal approximation.
+        u = random.Random(9).random
+        assert gen_trials(0.4, 50, seed=9).completions == sum(u() < 0.4 for _ in range(50))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             gen_trials(1.5, 10, seed=0)
         with pytest.raises(ValueError):
             gen_trials(0.5, -1, seed=0)
+        with pytest.raises(ValueError):
+            gen_trials(0.5, 10, seed=-1)
 
 
 class TestDiscretizedLineDistributions:

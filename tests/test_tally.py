@@ -11,8 +11,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 import sys
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -567,8 +568,14 @@ class TestJsonLinesFastPath:
 
 
 def _utc_day_by_astimezone(text):
-    """The UTC day as the reader once took it, through astimezone."""
-    t = text.strip()
+    """The UTC day as the reader once took it, through astimezone.
+
+    A fraction of the time shorter than six digits is padded first, since
+    Python 3.10's fromisoformat reads none but three or six. Fed only RFC
+    3339 shapes, and strings that no supported Python reads.
+    """
+    t = re.sub(r"(:\d\d\.)(\d{1,5})(?!\d)", lambda m: m[1] + m[2].ljust(6, "0"),
+               text.strip(), count=1)
     if t.endswith(("Z", "z")):
         t = t[:-1] + "+00:00"
     dt = datetime.fromisoformat(t)
@@ -585,6 +592,37 @@ def _day_outcome(day_of, text):
 
 
 OUT_OF_RANGE = ["0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00"]
+
+# How every supported Python reads a timestamp: RFC 3339's date-time, with
+# its fraction of any length, no offset read as UTC and an offset with
+# seconds as isoformat() writes it; nothing else that some Python's
+# fromisoformat would take.
+READINGS = {
+    "2024-03-01T10:00:00.5Z": date(2024, 3, 1),  # Python 3.10 read no 1-digit fraction
+    "2024-03-01T23:59:59.99-00:00": date(2024, 3, 1),
+    "2024-03-01T23:59:59.9999999+00:00": date(2024, 3, 1),  # cut, not rounded up
+    "2024-03-01T23:59:59.5-00:00:01": date(2024, 3, 2),
+    "2024-03-01t23:30:00-05:00": date(2024, 3, 2),
+    "2024-03-01 10:00:00z": date(2024, 3, 1),
+    "2024-03-01T10:00:00": date(2024, 3, 1),
+    "20240302T100000Z": ValueError,  # ISO 8601 basic form, read by Python 3.11+
+    "2024-03-01": ValueError,
+    "2024-03-01T10:00Z": ValueError,
+    "2024-03-01T10Z": ValueError,
+    "2024-03-01X10:00:00": ValueError,  # Python 3.10 took any separator
+    "2024-03-01T10:00:00,5Z": ValueError,
+    "2024-03-01T10:00:00.Z": ValueError,
+    "2024-03-01T10:00:00+0100": ValueError,
+    "2024-03-01T10:00:00+01": ValueError,
+    "2024-03-01T10:00:00+01:75": ValueError,
+    "2024-03-01T10:00:00+01:00:00.5": ValueError,
+    "2024-03-01T10:00:00+01:00Z": ValueError,
+    "2024-W09-5T10:00:00Z": ValueError,
+    "\u0662\u0660\u0662\u0664-03-01T10:00:00Z": ValueError,  # Arabic-Indic digits
+    "2024-03-01T24:00:00Z": ValueError,
+    "2024-03-01T23:59:60Z": ValueError,
+    "2023-02-29T10:00:00Z": ValueError,
+}
 
 
 class TestUtcDay:
@@ -621,6 +659,26 @@ class TestUtcDay:
         if zulu:
             text = moment.isoformat() + "Z"
         assert _day_outcome(ingest._utc_day, text) == _day_outcome(_utc_day_by_astimezone, text)
+
+    @pytest.mark.parametrize("text", list(READINGS))
+    def test_reads_alike_on_every_python(self, text):
+        day = READINGS[text]
+        expected = day if isinstance(day, type) else day.toordinal()
+        assert _day_outcome(ingest._utc_day, text) == expected
+
+    def test_fraction_and_basic_form_in_a_log(self):
+        lines = [
+            {"session_id": "s1", "category": "a", "timestamp": "2024-03-01T10:00:00.5Z",
+             "rating": 4},
+            {"session_id": "s2", "category": "a", "timestamp": "20240302T100000Z",
+             "rating": 5},
+        ]
+        text = "".join(json.dumps(line) + "\n" for line in lines)
+        counts, rejections = tally_sessions(io.StringIO(text), fmt="jsonl",
+                                            strictness=SKIP_INVALID)
+        assert len(counts) == 1
+        assert [(r.row, r.detail) for r in rejections] == [
+            (2, "invalid RFC 3339 timestamp '20240302T100000Z'")]
 
     @pytest.mark.parametrize("stamp", OUT_OF_RANGE)
     def test_out_of_range_in_utc_is_an_invalid_timestamp(self, stamp):
