@@ -19,10 +19,10 @@ as non-unique.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from enum import Enum
 from collections.abc import Iterable
 
+from ._record import record, replace
 from .errors import InvalidMass, ZeroTrials
 from .special import (
     beta_pdf,
@@ -43,7 +43,7 @@ _Z_95 = 1.959964
 _LEVEL_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BetaParams:
     """Shape parameters of a Beta distribution; both positive and finite,
     and so is their sum."""
@@ -74,7 +74,7 @@ class BetaParams:
         return beta_pdf(self.alpha, self.beta, x)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TrialSummary:
     """Completion counts: ``completions`` successes out of ``trials``."""
 
@@ -97,7 +97,7 @@ class IntervalKind(Enum):
     ONE_SIDED_UPPER = "one-sided-upper"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CredibleInterval:
     """[lower, upper] holding ``mass`` probability; ``unique`` is False when
     the interval was a convention pick among equally valid ones."""
@@ -260,7 +260,7 @@ def hdi(params: BetaParams, mass: float = 0.95) -> CredibleInterval:
     return replace(equal_tailed_interval(params, mass), unique=False)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BucsResult:
     """Posterior parameters, credible interval, and point summaries."""
 

@@ -26,7 +26,7 @@ from .errors import AduxError
 # load_sessions is not called here; benchmark/child.py times it under this
 # name and reads 0 for it, as it does for every other span a command skips.
 from .ingest import load_sessions, tally_sessions  # noqa: F401
-from .model import DiscreteDistribution, ResponseSpace, SKIP_INVALID, STRICT
+from .model import MAX_SCALE_LEVELS, DiscreteDistribution, ResponseSpace, SKIP_INVALID, STRICT
 from .report import (
     EvalConfig,
     Fig3Spec,
@@ -76,6 +76,10 @@ def _scale_arg(text: str) -> tuple[int, int]:
         ) from None
     if lo >= hi:
         raise argparse.ArgumentTypeError(f"scale bounds must satisfy lo < hi: {text!r}")
+    try:
+        ResponseSpace.from_range(lo, hi)  # refuses a scale too large to count
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return lo, hi
 
 
@@ -116,7 +120,8 @@ def _add_input_options(p: argparse.ArgumentParser, required: bool = True) -> Non
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv",
                    help="input format (default csv)")
     p.add_argument("--scale", type=_scale_arg, default=(1, 5), metavar="LO..HI",
-                   help="rating scale bounds (default 1..5)")
+                   help=f"rating scale bounds (default 1..5; at most "
+                        f"{MAX_SCALE_LEVELS} levels)")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--strict", dest="strictness", action="store_const",
                        const=STRICT, default=STRICT,
@@ -381,7 +386,9 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--completion-p", type=float)
     p_sim.add_argument("--periods", type=int)
     p_sim.add_argument("--sessions-per-period", type=int)
-    p_sim.add_argument("--scale", type=_scale_arg, metavar="LO..HI")
+    p_sim.add_argument("--scale", type=_scale_arg, metavar="LO..HI",
+                       help=f"rating scale bounds (default 1..5; at most "
+                            f"{MAX_SCALE_LEVELS} levels)")
     p_sim.add_argument("--preset", help="use a shipped category preset, or 'all'")
     p_sim.add_argument("--config", help="JSON file with one spec or {'specs': [...]}")
     p_sim.add_argument("--seed", type=int, default=None,

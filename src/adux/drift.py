@@ -9,9 +9,9 @@ points are required for a fit; fewer raise :class:`InsufficientData`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
+from ._record import record
 from .errors import DegenerateTime, InsufficientData, UnknownCategory
 from .model import Dataset, SessionCounts
 from .special import student_t_quantile
@@ -19,7 +19,7 @@ from .special import student_t_quantile
 MIN_POINTS = 5
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class UsabilitySeries:
     """Ordered (period, mean usability) points; periods strictly increasing."""
 
@@ -36,7 +36,7 @@ class UsabilitySeries:
         return len(self.points)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TdcFit:
     """OLS fit of usability on time: intercept, slope, and inference stats."""
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import EmptyDataset
 from .model import (
     MEAN_OF_SESSIONS,
@@ -34,7 +34,7 @@ PER_CATEGORY_PER_PERIOD = "per-category-per-period"
 GroupKey = str | tuple[str, int]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EntropyBits:
     """Entropy value in bits, its normalized form, and the sample size.
 
@@ -80,7 +80,7 @@ def iei_of_ratings(ratings, space: ResponseSpace) -> EntropyBits:
     return iei(build_distribution(ratings, space))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GroupedEntropy:
     """Per-group IEI results, one per group that has ratings."""
 

@@ -32,7 +32,7 @@ import json
 import re
 from collections import Counter
 from collections.abc import Callable, Iterator
-from datetime import datetime
+from datetime import datetime, timedelta
 from itertools import chain, islice
 from operator import itemgetter, methodcaller
 from pathlib import Path
@@ -65,7 +65,7 @@ _REQUIRED_COLUMNS = ("session_id", "category", "period", "rating")
 # takes differs between Python versions, so the shape is checked first.
 _RFC3339 = re.compile(
     r"\d{4}-\d\d-\d\d[Tt ]\d\d:\d\d:\d\d(?:\.\d+)?"
-    r"(?:[Zz]|[+-]\d\d:[0-5]\d(?::[0-5]\d(?:\.\d{6})?)?)?",
+    r"(?:[Zz]|([+-])\d\d:[0-5]\d(?::[0-5]\d(?:\.(\d{6}))?)?)?",
     re.ASCII,
 )
 
@@ -74,11 +74,13 @@ def _utc_day(text: str) -> int:
     """Ordinal of the UTC day of an RFC 3339 timestamp; a naive one is UTC.
 
     The same day as ``astimezone(timezone.utc).date().toordinal()``, and
-    the same OverflowError where the UTC time falls outside years 1-9999.
-    A fraction past six digits is cut, which never moves the day.
+    the same OverflowError where the UTC time falls outside years 1-9999,
+    but with every microsecond of the offset kept. A fraction past six
+    digits is cut, which never moves the day.
     """
     t = text.strip()
-    if _RFC3339.fullmatch(t) is None:
+    shape = _RFC3339.fullmatch(t)
+    if shape is None:
         raise ValueError(f"not an RFC 3339 date-time: {text!r}")
     if t[-1] in "Zz":  # UTC, as a time without an offset is read
         t = t[:-1]
@@ -90,7 +92,15 @@ def _utc_day(text: str) -> int:
         six = re.sub(r"\.(\d+)", lambda m: "." + m[1][:6].ljust(6, "0"), t, count=1)
         dt = datetime.fromisoformat(six)
     zone = dt.tzinfo  # a fixed-offset timezone: utcoffset needs no moment
-    return (dt - zone.utcoffset(None) if zone else dt).toordinal()
+    if zone is None:
+        return dt.toordinal()
+    offset = zone.utcoffset(None)
+    if not offset and shape[2]:
+        # fromisoformat drops the microseconds of an offset whose hours,
+        # minutes and seconds are all zero (+00:00:00.000001 reads as 0).
+        micro = int(shape[2])
+        offset = timedelta(microseconds=micro if shape[1] == "+" else -micro)
+    return (dt - offset).toordinal()
 
 
 # What a reader passes on per row: the raw value of each field (None when

@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
 from typing import Any, TypeVar
 
+from ._record import field, record
 from .errors import (
     AduxError,
     EmptyInput,
@@ -31,11 +31,16 @@ from .errors import (
 
 PROB_SUM_TOL = 1e-9
 
+# The most levels a response space may have: a 0..100 visual-analogue scale.
+# Counts hold a list entry per level for each category, period and session,
+# so a scale of 10^8 levels would exhaust memory.
+MAX_SCALE_LEVELS = 101
+
 STRICT = "strict"
 SKIP_INVALID = "skip-invalid"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ResponseSpace:
     """The admissible ratings: the integers ``min_code`` to ``max_code``
     inclusive, in order.
@@ -52,6 +57,11 @@ class ResponseSpace:
         if self.max_code < self.min_code:
             raise ValueError(
                 "response space must contain at least one level, "
+                f"got {self.min_code}..{self.max_code}"
+            )
+        if self.max_code - self.min_code >= MAX_SCALE_LEVELS:
+            raise ValueError(
+                f"response space may hold at most {MAX_SCALE_LEVELS} levels, "
                 f"got {self.min_code}..{self.max_code}"
             )
 
@@ -77,7 +87,7 @@ def five_point() -> ResponseSpace:
     return ResponseSpace.from_range(1, 5)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DiscreteDistribution:
     """Probability vector over a response space.
 
@@ -106,7 +116,7 @@ class DiscreteDistribution:
             raise ValueError("n_obs must be positive when given")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SessionObservation:
     """One logged interaction row.
 
@@ -146,7 +156,7 @@ def sum_counts(pairs: Iterable[tuple[_K, Sequence[int]]]) -> dict[_K, list[int]]
     return total
 
 
-@dataclass
+@record
 class SessionCounts:
     """Sufficient statistics of a session log, filled one row at a time.
 
@@ -240,7 +250,7 @@ class SessionCounts:
         return moved
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Dataset:
     """A response space plus the observations recorded against it."""
 
@@ -274,7 +284,7 @@ class Dataset:
         return len(self.observations)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Rejection:
     """One dropped or refused input row."""
 
@@ -283,12 +293,12 @@ class Rejection:
     detail: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ValidationResult:
     """Validated dataset plus the log of rejected rows."""
 
     dataset: Dataset
-    rejections: tuple[Rejection, ...] = field(default=())
+    rejections: tuple[Rejection, ...] = ()
 
 
 def build_distribution(

@@ -30,7 +30,6 @@ import os
 import tempfile
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain, islice
 from operator import attrgetter
@@ -47,6 +46,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
+from ._record import record
 from .bayes import BetaParams, BucsResult, CredibleInterval, TrialSummary
 from .bayes import bucs, hdi, posterior, wald_ci
 from .drift import MIN_POINTS, TdcFit, UsabilitySeries, fit_tdc, series_from_dataset
@@ -130,7 +130,7 @@ def emit_sessions(
 # evaluation
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EvalConfig:
     """Evaluation options applied uniformly across categories."""
 
@@ -151,7 +151,7 @@ class EvalConfig:
         return sha256(payload.encode("utf-8")).hexdigest()[:12]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CategoryResult:
     """All three metrics for one category; unavailable ones carry a reason."""
 
@@ -165,7 +165,7 @@ class CategoryResult:
     trials: TrialSummary | None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ReportMeta:
     rows: int
     rejected: int
@@ -177,7 +177,7 @@ class ReportMeta:
     generated_at: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AduxReport:
     scale: ResponseSpace
     categories: tuple[CategoryResult, ...]
@@ -451,7 +451,7 @@ def emit_report(
 # plot data
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Fig3Spec:
     """Interval-width experiment: fixed completion share across sample sizes."""
 

@@ -23,15 +23,15 @@ import math
 import random
 from bisect import bisect_right
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 
+from ._record import record
 from .bayes import TrialSummary
 from .drift import UsabilitySeries
 from .model import Dataset, DiscreteDistribution, ResponseSpace, SessionObservation, five_point
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GeneratorSpec:
     """Ground-truth parameters for one synthetic category.
 

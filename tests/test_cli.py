@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from adux.cli import _specs_from_config_file, main
+from adux.cli import MAX_SCALE_LEVELS, _specs_from_config_file, main
 from adux.model import Dataset
 from adux.report import emit_sessions
 from adux.synth import category_presets, gen_ratings
@@ -74,7 +74,15 @@ class TestExitCodes:
         assert main(["bucs", "--n", "1", "--N", "2", "--prior", "0,1"]) == 64
 
     def test_bad_scale_is_usage_error(self, capsys):
-        assert main(["iei", "--input", "x.csv", "--scale", "5..1"]) == 64
+        # The second is one level over the cap, which refuses a scale before
+        # any count is allocated (one of 10^8 levels ran out of memory).
+        for scale in ("5..1", f"0..{MAX_SCALE_LEVELS}"):
+            assert main(["iei", "--input", "x.csv", "--scale", scale]) == 64
+            assert "argument --scale: " in capsys.readouterr().err
+
+    def test_largest_scale_passes(self, capsys):
+        # Past argument parsing: the missing input is a data error.
+        assert main(["iei", "--input", "x.csv", "--scale", f"1..{MAX_SCALE_LEVELS}"]) == 2
 
     def test_n_exceeding_trials_is_usage_error(self, capsys):
         assert main(["bucs", "--n", "11", "--N", "10"]) == 64
@@ -322,6 +330,7 @@ class TestSimulateCommand:
         '{"specs": "x"}',
         '{"category": "c", "probs": [0.2, 0.2, 0.2, 0.2, 0.2], "scale": [1, 5]}',
         '{"category": "c", "probs": [0.2, 0.2, 0.2, 0.2, 0.2], "scale": 15}',
+        '{"category": "c", "probs": [0.2, 0.2, 0.2, 0.2, 0.2], "scale": "1..102"}',
         '{"category": "c", "probs": [0.2, 0.2, 0.2, 0.2, 0.2], "periods": 1e400}',
         '{"category": "c", "probs": [0.2, 0.2, 0.2, 0.2, 0.2], "seed": 1e400}',
         '{"category": "c", "probs": [NaN, 0.2, 0.2, 0.2, 0.2]}',
@@ -338,10 +347,11 @@ class TestSimulateCommand:
         '{"category": "c", "probs": [0.2, 0.2, 0.2, 0.2, 0.2], "completion_p": true}',
         '{"category": "c", "probs": [0.2, 0.2, 0.2, 0.2, 0.2], "completion_p": null}',
     ], ids=["missing-probs", "string", "number", "specs-string", "scale-list",
-            "scale-number", "periods-inf", "seed-inf", "probs-nan", "probs-inf",
-            "category-null", "category-empty", "category-number", "periods-fraction",
-            "periods-float", "periods-bool", "sessions-string", "seed-fraction",
-            "completion-string", "completion-bool", "completion-null"])
+            "scale-number", "scale-too-many-levels", "periods-inf", "seed-inf",
+            "probs-nan", "probs-inf", "category-null", "category-empty",
+            "category-number", "periods-fraction", "periods-float", "periods-bool",
+            "sessions-string", "seed-fraction", "completion-string", "completion-bool",
+            "completion-null"])
     def test_bad_config_is_usage_error(self, payload, tmp_path, capsys):
         config = tmp_path / "spec.json"
         config.write_text(payload)
@@ -470,13 +480,24 @@ assert adux.gen_trials(0.5, 100, seed=1).trials == 100
 
 
 def test_report_loads_no_openssl(tmp_path):
+    # Nor dataclasses and inspect: the record types are built without them,
+    # since dataclasses compiles source at run time for every class.
     log = tmp_path / "sessions.csv"
     log.write_text(SESSIONS)
+    out = tmp_path / "simulated.csv"
     script = f"""
 import sys
 import adux, adux.cli
+def unloaded():
+    loaded = {{"dataclasses", "inspect"}} & set(sys.modules)
+    assert not loaded, f"loaded {{sorted(loaded)}}"
+unloaded()
 assert adux.cli.main(["report", "--input", {str(log)!r}]) == 0
 assert "_hashlib" not in sys.modules, "hashlib's OpenSSL module loaded"
+assert adux.cli.main(["bucs", "--n", "7", "--N", "10"]) == 0
+assert adux.cli.main(["simulate", "--category", "c", "--probs", "0.2,0.2,0.2,0.2,0.2",
+                      "--out", {str(out)!r}]) == 0
+unloaded()
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)

@@ -9,11 +9,13 @@ from hypothesis import given, strategies as st
 
 from adux.errors import EmptyInput, MalformedRow, NegativePeriod, UnknownRating
 from adux.model import (
+    MAX_SCALE_LEVELS,
     Dataset,
     DiscreteDistribution,
     ResponseSpace,
     SKIP_INVALID,
     STRICT,
+    SessionCounts,
     SessionObservation,
     build_distribution,
     five_point,
@@ -38,6 +40,15 @@ class TestResponseSpace:
 
     def test_singleton_space_allowed(self):
         assert len(ResponseSpace.from_range(3, 3)) == 1
+
+    def test_rejects_more_levels_than_the_cap(self):
+        # Refused before any count is sized by it; one of 10^8 levels ran
+        # out of memory.
+        assert len(ResponseSpace.from_range(0, MAX_SCALE_LEVELS - 1)) == MAX_SCALE_LEVELS
+        with pytest.raises(ValueError, match=f"at most {MAX_SCALE_LEVELS} levels, got 0..101"):
+            ResponseSpace.from_range(0, MAX_SCALE_LEVELS)
+        with pytest.raises(ValueError, match="at most"):
+            SessionCounts(ResponseSpace(1, 10**8))
 
     def test_contains_equal_codes_only(self):
         space = five_point()

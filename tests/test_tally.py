@@ -571,8 +571,10 @@ def _utc_day_by_astimezone(text):
     """The UTC day as the reader once took it, through astimezone.
 
     A fraction of the time shorter than six digits is padded first, since
-    Python 3.10's fromisoformat reads none but three or six. Fed only RFC
-    3339 shapes, and strings that no supported Python reads.
+    Python 3.10's fromisoformat reads none but three or six. The offset is
+    read from the text, since fromisoformat drops the microseconds of one
+    whose hours, minutes and seconds are all zero. Fed only RFC 3339
+    shapes, and strings that no supported Python reads.
     """
     t = re.sub(r"(:\d\d\.)(\d{1,5})(?!\d)", lambda m: m[1] + m[2].ljust(6, "0"),
                text.strip(), count=1)
@@ -581,6 +583,12 @@ def _utc_day_by_astimezone(text):
     dt = datetime.fromisoformat(t)
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
+    offset = re.search(r"([+-])(\d\d):(\d\d)(?::(\d\d)(?:\.(\d{6}))?)?$", t)
+    if offset is not None:
+        sign, hours, minutes, seconds, micro = offset.groups(default="0")
+        delta = timedelta(hours=int(hours), minutes=int(minutes), seconds=int(seconds),
+                          microseconds=int(micro))
+        dt = dt.replace(tzinfo=timezone(-delta if sign == "-" else delta))
     return dt.astimezone(timezone.utc).date().toordinal()
 
 
@@ -602,6 +610,8 @@ READINGS = {
     "2024-03-01T23:59:59.99-00:00": date(2024, 3, 1),
     "2024-03-01T23:59:59.9999999+00:00": date(2024, 3, 1),  # cut, not rounded up
     "2024-03-01T23:59:59.5-00:00:01": date(2024, 3, 2),
+    "2024-03-02T00:00:00+00:00:00.000001": date(2024, 3, 1),  # fromisoformat reads +00:00
+    "2024-03-01T23:59:59.999999-00:00:00.000001": date(2024, 3, 2),
     "2024-03-01t23:30:00-05:00": date(2024, 3, 2),
     "2024-03-01 10:00:00z": date(2024, 3, 1),
     "2024-03-01T10:00:00": date(2024, 3, 1),
