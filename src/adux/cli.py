@@ -16,36 +16,56 @@ import json
 import math
 import os
 import sys
+from importlib import import_module
 from itertools import chain
-from typing import Any, NoReturn
+from typing import TYPE_CHECKING, Any, NoReturn
 
-from .bayes import BetaParams, TrialSummary, bucs, wald_ci
-from .drift import classify_drift, fit_tdc, series_from_dataset
-from .entropy import MEAN_OF_SESSIONS, PER_CATEGORY, PER_CATEGORY_PER_PERIOD, POOLED, iei_by_group
 from .errors import AduxError
-# load_sessions is not called here; benchmark/child.py times it under this
-# name and reads 0 for it, as it does for every other span a command skips.
-from .ingest import load_sessions, tally_sessions  # noqa: F401
-from .model import MAX_SCALE_LEVELS, DiscreteDistribution, ResponseSpace, SKIP_INVALID, STRICT
-from .report import (
-    EvalConfig,
-    Fig3Spec,
-    emit_plot_data,
-    emit_report,
-    evaluate,
-    open_output,
-    write_sessions,
-    _bucs_fields,
-    _iei_fields,
-    _json_text,
-    _tdc_fields,
-    _write_text,
+from .model import (
+    MAX_SCALE_LEVELS,
+    MEAN_OF_SESSIONS,
+    POOLED,
+    SKIP_INVALID,
+    STRICT,
+    DiscreteDistribution,
+    ResponseSpace,
 )
-# Nor are these: `simulate` streams its rows through write_sessions.
-from .report import emit_sessions  # noqa: F401
-from .synth import GeneratorSpec, category_presets, gen_session_rows
-from .synth import gen_ratings  # noqa: F401
 from .version import __version__
+
+if TYPE_CHECKING:
+    from .bayes import BetaParams
+    from .synth import GeneratorSpec
+
+# The names the commands use from the modules that do their work. Each
+# module is imported when a command first reads one of its names, as an
+# attribute of this module (`_cli.evaluate`, through __getattr__ below),
+# so `adux --version` or `adux simulate` never loads what only `report`
+# runs. A name bound here is read at call time, so a wrapper bound over it
+# (benchmark/child.py times evaluate and emit_report so) is the one called.
+_COMMAND_NAMES = {
+    "bayes": ("BetaParams", "TrialSummary", "bucs", "wald_ci"),
+    "drift": ("classify_drift", "fit_tdc", "series_from_dataset"),
+    "entropy": ("PER_CATEGORY", "PER_CATEGORY_PER_PERIOD", "iei_by_group"),
+    # load_sessions, gen_ratings and emit_sessions are not called here;
+    # benchmark/child.py times them under these names and reads 0 for them,
+    # as it does for every other span a command skips.
+    "ingest": ("load_sessions", "tally_sessions"),
+    "output": ("open_output", "write_sessions", "_write_text"),
+    "report": ("EvalConfig", "Fig3Spec", "emit_plot_data", "emit_report", "emit_sessions",
+               "evaluate", "_bucs_fields", "_iei_fields", "_json_text", "_tdc_fields"),
+    "synth": ("GeneratorSpec", "category_presets", "gen_ratings", "gen_session_rows"),
+}
+_SOURCE = {name: module for module, names in _COMMAND_NAMES.items() for name in names}
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__package__}.{_SOURCE[name]}"), name)
+    globals()[name] = value
+    return value
+
 
 EXIT_OK = 0
 EXIT_DATA = 2
@@ -86,7 +106,7 @@ def _scale_arg(text: str) -> tuple[int, int]:
 def _prior_arg(text: str) -> BetaParams:
     try:
         a_text, b_text = text.split(",", 1)
-        return BetaParams(float(a_text), float(b_text))
+        return _cli.BetaParams(float(a_text), float(b_text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad prior {text!r}: {exc}") from None
 
@@ -131,7 +151,9 @@ def _add_input_options(p: argparse.ArgumentParser, required: bool = True) -> Non
 
 
 def _add_bayes_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--prior", type=_prior_arg, default=BetaParams(1.0, 1.0),
+    # argparse runs a string default through the type only when it is used,
+    # so building the parser does not import bayes.
+    p.add_argument("--prior", type=_prior_arg, default="1,1",
                    metavar="A,B", help="Beta prior parameters (default 1,1)")
     p.add_argument("--mass", type=_mass_arg, default=0.95,
                    help="credible mass (default 0.95)")
@@ -156,16 +178,16 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 def _tally(args: argparse.Namespace, aggregation: str = POOLED):
     source = sys.stdin if args.input == "-" else args.input
     space = ResponseSpace.from_range(*args.scale)
-    counts, rejections = tally_sessions(source, fmt=args.format, space=space,
-                                        strictness=args.strictness,
-                                        aggregation=aggregation)
+    counts, rejections = _cli.tally_sessions(source, fmt=args.format, space=space,
+                                             strictness=args.strictness,
+                                             aggregation=aggregation)
     for rejection in rejections:
         print(f"adux: skipped row {rejection.row}: {rejection.detail}", file=sys.stderr)
     return counts, rejections
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
-    _write_text(text, args.out or sys.stdout)
+    _cli._write_text(text, args.out or sys.stdout)
 
 
 # ---------------------------------------------------------------------------
@@ -174,16 +196,17 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 def _cmd_iei(args: argparse.Namespace) -> int:
     counts, rejections = _tally(args, args.aggregation)
-    grouping = PER_CATEGORY if args.group_by == "category" else PER_CATEGORY_PER_PERIOD
-    grouped = iei_by_group(counts, grouping=grouping, aggregation=args.aggregation)
+    grouping = (_cli.PER_CATEGORY if args.group_by == "category"
+                else _cli.PER_CATEGORY_PER_PERIOD)
+    grouped = _cli.iei_by_group(counts, grouping=grouping, aggregation=args.aggregation)
     rows = []
     for key, entry in grouped.results:
         group = (
             {"category": key} if isinstance(key, str)
             else {"category": key[0], "period": key[1]}
         )
-        rows.append({**group, **_iei_fields(entry)})
-    _emit(args, _json_text({"groups": rows, "rejected": len(rejections)}))
+        rows.append({**group, **_cli._iei_fields(entry)})
+    _emit(args, _cli._json_text({"groups": rows, "rejected": len(rejections)}))
     return EXIT_OK
 
 
@@ -191,11 +214,11 @@ def _cmd_tdc(args: argparse.Namespace) -> int:
     counts, rejections = _tally(args)
     rows = []
     for category in counts.categories():
-        series = series_from_dataset(counts, category)
-        fit = fit_tdc(series)
-        rows.append({"category": category, **_tdc_fields(fit),
-                     "drift": classify_drift(fit).value})
-    _emit(args, _json_text({"categories": rows, "rejected": len(rejections)}))
+        series = _cli.series_from_dataset(counts, category)
+        fit = _cli.fit_tdc(series)
+        rows.append({"category": category, **_cli._tdc_fields(fit),
+                     "drift": _cli.classify_drift(fit).value})
+    _emit(args, _cli._json_text({"categories": rows, "rejected": len(rejections)}))
     return EXIT_OK
 
 
@@ -208,19 +231,22 @@ def _cmd_bucs(args: argparse.Namespace) -> int:
         raise _UsageError(f"--n ({args.n}) cannot exceed --N ({args.N})")
     if args.N > sys.float_info.max or math.isinf(args.prior.alpha + args.prior.beta + args.N):
         raise _UsageError("--N is too large: the posterior's alpha + beta overflows a float")
-    trials = TrialSummary(completions=args.n, trials=args.N)
-    result = bucs(args.prior, trials, args.mass)
-    wald = wald_ci(trials, args.mass) if args.N >= 1 else None
-    _emit(args, _json_text(_bucs_fields(result, with_mode=True, wald=wald)))
+    trials = _cli.TrialSummary(completions=args.n, trials=args.N)
+    result = _cli.bucs(args.prior, trials, args.mass)
+    wald = _cli.wald_ci(trials, args.mass) if args.N >= 1 else None
+    _emit(args, _cli._json_text(_cli._bucs_fields(result, with_mode=True, wald=wald)))
     return EXIT_OK
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    # Made before the tally, so that the evaluation modules load before the
+    # tally grows the heap: loaded after it, they raised the peak RSS of a
+    # 200k-row report by 0.5%.
+    config = _cli.EvalConfig(prior=args.prior, mass=args.mass, aggregation=args.aggregation)
     counts, rejections = _tally(args, args.aggregation)
-    config = EvalConfig(prior=args.prior, mass=args.mass, aggregation=args.aggregation)
-    report = evaluate(counts, config, n_rejected=len(rejections))
+    report = _cli.evaluate(counts, config, n_rejected=len(rejections))
     print(f"adux: config digest {report.meta.config_digest}", file=sys.stderr)
-    text = emit_report(report, fmt=args.report_format, no_meta=args.no_meta)
+    text = _cli.emit_report(report, fmt=args.report_format, no_meta=args.no_meta)
     _emit(args, text)
     return EXIT_OK
 
@@ -245,7 +271,7 @@ def _spec(fields: dict[str, Any], seed: int) -> GeneratorSpec:
     if type(fields["completion_p"]) not in (int, float):  # float() takes "0.5" and true
         raise ValueError(f"completion_p must be a number, got {fields['completion_p']!r}")
     space = ResponseSpace.from_range(*fields["scale"])
-    return GeneratorSpec(
+    return _cli.GeneratorSpec(
         category=category,
         true_distribution=DiscreteDistribution(space=space, probs=tuple(fields["probs"])),
         # The drift line feeds only gen_drift_series, which simulate never runs.
@@ -281,8 +307,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if args.config:
             specs = _specs_from_config_file(args.config, seed)
         elif args.preset:
-            presets = category_presets(seed=seed, periods=args.periods,
-                                       sessions_per_period=args.sessions_per_period)
+            presets = _cli.category_presets(seed=seed, periods=args.periods,
+                                            sessions_per_period=args.sessions_per_period)
             specs = [s for s in presets if args.preset in ("all", s.category)]
             if not specs:
                 names = ", ".join(s.category for s in presets)
@@ -309,8 +335,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:  # a config entry set its own seed
         named = ("seed " if len(seeds) == 1 else "seeds ") + ", ".join(map(str, seeds))
     print(f"adux: simulated {rows} sessions ({named})", file=sys.stderr)
-    with open_output(args.out or sys.stdout) as handle:
-        write_sessions(chain.from_iterable(map(gen_session_rows, specs)), handle)
+    with _cli.open_output(args.out or sys.stdout) as handle:
+        _cli.write_sessions(chain.from_iterable(map(_cli.gen_session_rows, specs)), handle)
     return EXIT_OK
 
 
@@ -319,19 +345,19 @@ def _cmd_plotdata(args: argparse.Namespace) -> int:
         if not args.input:
             raise _UsageError(f"{args.figure} needs --input")
         counts, rejections = _tally(args, args.aggregation)
-        config = EvalConfig(prior=args.prior, mass=args.mass,
-                            aggregation=args.aggregation)
-        report = evaluate(counts, config, n_rejected=len(rejections))
-        _emit(args, emit_plot_data(report, args.figure))
+        config = _cli.EvalConfig(prior=args.prior, mass=args.mass,
+                                 aggregation=args.aggregation)
+        report = _cli.evaluate(counts, config, n_rejected=len(rejections))
+        _emit(args, _cli.emit_plot_data(report, args.figure))
         return EXIT_OK
     if args.p_hat is None:
         raise _UsageError("fig3 needs --p-hat (and optionally --N-list)")
     try:
-        spec = Fig3Spec(p_hat=args.p_hat, trial_counts=args.N_list,
-                        prior=args.prior, mass=args.mass)
+        spec = _cli.Fig3Spec(p_hat=args.p_hat, trial_counts=args.N_list,
+                             prior=args.prior, mass=args.mass)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    _emit(args, emit_plot_data(spec, "fig3"))
+    _emit(args, _cli.emit_plot_data(spec, "fig3"))
     return EXIT_OK
 
 

@@ -481,23 +481,32 @@ assert adux.gen_trials(0.5, 100, seed=1).trials == 100
 
 def test_report_loads_no_openssl(tmp_path):
     # Nor dataclasses and inspect: the record types are built without them,
-    # since dataclasses compiles source at run time for every class.
+    # since dataclasses compiles source at run time for every class. And each
+    # command loads only the adux modules it runs: every process compiles
+    # those from source when it cannot use bytecode caches.
     log = tmp_path / "sessions.csv"
     log.write_text(SESSIONS)
     out = tmp_path / "simulated.csv"
     script = f"""
 import sys
 import adux, adux.cli
-def unloaded():
-    loaded = {{"dataclasses", "inspect"}} & set(sys.modules)
+def unloaded(names):
+    loaded = set(names) & set(sys.modules)
     assert not loaded, f"loaded {{sorted(loaded)}}"
-unloaded()
+EVALUATION = ["adux.ingest", "adux.report", "adux.entropy"]
+COMMANDS = EVALUATION + ["adux.bayes", "adux.special", "adux.drift", "adux.synth"]
+unloaded(["dataclasses", "inspect", *COMMANDS])
+assert adux.cli.main(["--version"]) == 0
+assert adux.cli.main(["--no-such-flag"]) == 64
+assert adux.cli.main(["report", "--input"]) == 64
+unloaded(COMMANDS)
+assert adux.cli.main(["simulate", "--category", "c", "--probs", "0.2,0.2,0.2,0.2,0.2",
+                      "--out", {str(out)!r}]) == 0
+unloaded(EVALUATION)
 assert adux.cli.main(["report", "--input", {str(log)!r}]) == 0
 assert "_hashlib" not in sys.modules, "hashlib's OpenSSL module loaded"
 assert adux.cli.main(["bucs", "--n", "7", "--N", "10"]) == 0
-assert adux.cli.main(["simulate", "--category", "c", "--probs", "0.2,0.2,0.2,0.2,0.2",
-                      "--out", {str(out)!r}]) == 0
-unloaded()
+unloaded(["dataclasses", "inspect"])
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
@@ -506,6 +515,34 @@ unloaded()
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "adux: config digest " in proc.stderr
+
+
+def test_benchmark_tracer_finds_every_name(tmp_path):
+    # benchmark/child.py times each layer by rebinding these names with
+    # setattr, and reports a name that no longer resolves as a missing metric.
+    log = tmp_path / "sessions.csv"
+    log.write_text(SESSIONS)
+    root = Path(__file__).resolve().parents[1]
+    script = f"""
+import importlib, sys
+sys.path.insert(0, {str(root / "benchmark")!r})
+import child
+import adux.cli
+for module, name, *_ in child.TIMED + child.COUNTED:
+    assert callable(getattr(importlib.import_module(module), name, None)), (module, name)
+tracer = child.Tracer()
+tracer.install()
+assert sys.modules["adux.cli"].main(["report", "--input", {str(log)!r}, "--no-meta"]) == 0
+assert tracer.missing == [], tracer.missing
+for label in ("report.evaluate", "report.emit_report", "bayes.bucs"):
+    assert tracer.calls[label] > 0, label
+assert tracer.counts["ibeta_in_bucs"] > 0
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestPlotdataCommand:

@@ -22,7 +22,7 @@ from adux.errors import (
     UnknownRating,
 )
 from adux.model import Dataset, SKIP_INVALID, STRICT, SessionObservation, five_point
-from adux import report as report_module
+from adux import output as output_module
 from adux.report import (
     EvalConfig,
     Fig3Spec,
@@ -365,7 +365,7 @@ class TestEmitSessions:
     @given(observations=_OBSERVATIONS, chunk_rows=st.integers(1, 4))
     def test_matches_csv_writer_oracle(self, observations, chunk_rows):
         ds = Dataset(space=five_point(), observations=tuple(observations))
-        with mock.patch.object(report_module, "_CHUNK_ROWS", chunk_rows):
+        with mock.patch.object(output_module, "_CHUNK_ROWS", chunk_rows):
             assert _rendered(emit_sessions, ds) == _rendered(session_csv, ds.observations)
 
     def test_none_session_id_is_an_empty_cell(self):
