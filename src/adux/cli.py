@@ -20,7 +20,7 @@ from importlib import import_module
 from itertools import chain
 from typing import TYPE_CHECKING, Any, NoReturn
 
-from .errors import AduxError
+from .errors import AduxError, IoFailure
 from .model import (
     MAX_SCALE_LEVELS,
     MEAN_OF_SESSIONS,
@@ -50,9 +50,10 @@ _COMMAND_NAMES = {
     # benchmark/child.py times them under these names and reads 0 for them,
     # as it does for every other span a command skips.
     "ingest": ("load_sessions", "tally_sessions"),
-    "output": ("open_output", "write_sessions", "_write_text"),
+    "output": ("open_output", "write_sessions", "_write_text",
+               "_bucs_fields", "_iei_fields", "_json_text", "_tdc_fields"),
     "report": ("EvalConfig", "Fig3Spec", "emit_plot_data", "emit_report", "emit_sessions",
-               "evaluate", "_bucs_fields", "_iei_fields", "_json_text", "_tdc_fields"),
+               "evaluate"),
     "synth": ("GeneratorSpec", "category_presets", "gen_ratings", "gen_session_rows"),
 }
 _SOURCE = {name: module for module, names in _COMMAND_NAMES.items() for name in names}
@@ -176,7 +177,9 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 
 
 def _tally(args: argparse.Namespace, aggregation: str = POOLED):
-    source = sys.stdin if args.input == "-" else args.input
+    if args.input == "-" and sys.stdin is None:  # as Python sets it when fd 0 is closed
+        raise IoFailure("cannot read standard input: it is closed")
+    source = sys.stdin.buffer if args.input == "-" else args.input  # ingest decodes bytes
     space = ResponseSpace.from_range(*args.scale)
     counts, rejections = _cli.tally_sessions(source, fmt=args.format, space=space,
                                              strictness=args.strictness,
@@ -286,7 +289,7 @@ def _spec(fields: dict[str, Any], seed: int) -> GeneratorSpec:
 
 
 def _specs_from_config_file(path: str, default_seed: int) -> list[GeneratorSpec]:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         payload = json.load(handle)
     entries = payload.get("specs", [payload]) if isinstance(payload, dict) else payload
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):

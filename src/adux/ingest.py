@@ -1,5 +1,11 @@
 """Session-log ingestion: read a CSV or JSON-lines log in one validating pass.
 
+Bytes become text here alone: a path or a binary handle, standard input
+included, is read as UTF-8 whatever the locale, its lines ending at ``\n``,
+``\r\n`` or ``\r``. A byte that is not UTF-8 reaches its row as a lone
+surrogate (``surrogateescape``), where a category holding one is rejected
+like any invalid row. A caller's text handle is read as it is.
+
 Every row passes the checks of the one :class:`~adux.model.RowValidator`.
 :func:`tally_sessions` keeps only the counts every metric needs,
 so its memory grows with the distinct (category, period) pairs, not with
@@ -28,10 +34,12 @@ reason and detail it always had.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
 from collections import Counter
 from collections.abc import Callable, Iterator
+from contextlib import ExitStack
 from datetime import datetime, timedelta
 from itertools import chain, islice
 from operator import itemgetter, methodcaller
@@ -121,28 +129,17 @@ _MAX_KEYS = 4096
 _ANY_SESSION = "-"
 
 
-def _read_chunk(handle: IO[str], lines: list[str]) -> None:
-    """Extend ``lines`` with whole lines of ``handle``, up to about
-    _CHUNK_CHARS characters.
-
-    The lines are taken one by one, as the ordered loop takes them, so if
-    the handle's bytes fail to decode, ``lines`` holds every line that
-    the ordered loop would have read before the error.
-    """
+def _read_chunk(handle: IO[str]) -> list[str]:
+    """Whole lines of ``handle``, up to about _CHUNK_CHARS characters."""
+    lines: list[str] = []
     chars = 0
     while chars < _CHUNK_CHARS:
         n = len(lines)
         lines.extend(islice(handle, _STEP_LINES))
         if len(lines) == n:
-            return
+            break
         chars += sum(map(len, lines[n:]))
-
-
-def _raising(exc: Exception) -> Iterator[str]:
-    """Lines that end in ``exc``: a decoding error met while counting,
-    which the ordered loop meets where it would have met it."""
-    raise exc
-    yield
+    return lines
 
 
 def _count_distinct_lines(
@@ -161,8 +158,7 @@ def _count_distinct_lines(
     key that is blank, of the wrong width, unreadable or invalid (a row to
     bucket by its timestamp has no period). It also hands off when it
     brings the distinct keys over _MAX_KEYS, as a log whose lines rarely
-    repeat gains nothing. A chunk cut short by bytes that are not UTF-8
-    hands off too, and the decoding error follows its lines.
+    repeat gains nothing.
     """
     probe = RowValidator(counts.space)  # strict: an invalid key raises
     rows: dict[str, tuple[str, str, int, int, bool | None]] = {}
@@ -185,16 +181,7 @@ def _count_distinct_lines(
     seen: Counter[str] = Counter()
     read = 0
     limit = csv.field_size_limit()
-    rest: Iterator[str] = handle
-    while True:
-        lines: list[str] = []
-        try:
-            _read_chunk(handle, lines)
-        except UnicodeDecodeError as exc:
-            rest = _raising(exc)
-            break
-        if not lines:
-            break
+    while lines := _read_chunk(handle):
         text = "".join(lines)
         if ('"' in text or "\r" in text or "\0" in text or text[0] == "," or "\n," in text
                 or (len(text) > limit and max(map(len, lines)) > limit)):
@@ -210,7 +197,7 @@ def _count_distinct_lines(
         read += len(lines)
     for key, n in seen.items():
         counts.add(*rows[key], n)
-    return read, chain(lines, rest)
+    return read, chain(lines, handle)
 
 
 def _csv_records(handle: IO[str], counts: SessionCounts | None = None) -> Iterator[_RawRecord]:
@@ -335,20 +322,8 @@ def _scan(
     return origin
 
 
-def _undecodable_line(path: str | Path) -> int | None:
-    """Number of the first line of a file that is not UTF-8, counting lines
-    as the readers do."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
-        for number, line in enumerate(handle, start=1):
-            try:
-                line.encode("utf-8")  # an undecodable byte reads as a lone surrogate
-            except UnicodeEncodeError:
-                return number
-    return None
-
-
 def _ingest(
-    source: str | Path | IO[str],
+    source: str | Path | IO[str] | IO[bytes],
     fmt: str,
     space: ResponseSpace,
     strictness: str,
@@ -366,17 +341,21 @@ def _ingest(
         raise UnknownFormat(f"unsupported input format {fmt!r} (expected csv or jsonl)")
     validator = RowValidator(space, strictness)
     try:
-        if hasattr(source, "read"):
-            origin = _scan(source, fmt_key, validator, keep, counts)
-        else:
-            with open(source, "r", encoding="utf-8", newline="") as handle:
-                origin = _scan(handle, fmt_key, validator, keep, counts)
+        with ExitStack() as stack:
+            handle = source
+            if not hasattr(handle, "read"):
+                handle = stack.enter_context(open(handle, "rb"))
+            if not isinstance(handle, io.TextIOBase):
+                handle = io.TextIOWrapper(handle, encoding="utf-8", errors="surrogateescape",
+                                          newline="")
+                # Hands the bytes back when the scan ends, so that the
+                # wrapper never closes a caller's handle or standard input.
+                stack.callback(handle.detach)
+            origin = _scan(handle, fmt_key, validator, keep, counts)
     except OSError as exc:
         raise IoFailure(f"cannot read {source}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        line = None if hasattr(source, "read") else _undecodable_line(source)
-        where = "input" if line is None else f"line {line}"
-        raise MalformedRow(f"{where}: not UTF-8 text ({exc.reason})") from None
+    except UnicodeDecodeError as exc:  # a caller's text handle that decodes strictly
+        raise MalformedRow(f"input: not UTF-8 text ({exc.reason})") from None
 
     def period_of(period: int) -> int:
         return period if period >= 0 else ~period - origin
@@ -385,20 +364,21 @@ def _ingest(
 
 
 def load_sessions(
-    source: str | Path | IO[str],
+    source: str | Path | IO[str] | IO[bytes],
     fmt: str = FORMAT_CSV,
     space: ResponseSpace | None = None,
     strictness: str = STRICT,
 ) -> ValidationResult:
     """Parse a session log into a validated dataset plus rejection log.
 
-    ``fmt`` is ``csv`` or ``jsonl`` (alias ``json-lines``); both carry the
-    same fields. Rows whose ``period`` is empty fall back to bucketing their
-    ``timestamp`` by UTC day. Those periods count from the day of the
-    earliest valid timestamped row, apart from any explicit ``period``
-    values in the same log, and rows that fail validation do not move them.
-    Strict mode raises on the first invalid row in file order; skip-invalid
-    mode drops and logs.
+    ``source`` is a path, or a binary or text handle, read as the module
+    docstring says; a handle is left open. ``fmt`` is ``csv`` or ``jsonl``
+    (alias ``json-lines``); both carry the same fields. Rows whose
+    ``period`` is empty fall back to bucketing their ``timestamp`` by UTC
+    day. Those periods count from the day of the earliest valid timestamped
+    row, apart from any explicit ``period`` values in the same log, and
+    rows that fail validation do not move them. Strict mode raises on the
+    first invalid row in file order; skip-invalid mode drops and logs.
 
     :func:`tally_sessions` makes the same pass into counts, without
     building a row object.
@@ -415,7 +395,7 @@ def load_sessions(
 
 
 def tally_sessions(
-    source: str | Path | IO[str],
+    source: str | Path | IO[str] | IO[bytes],
     fmt: str = FORMAT_CSV,
     space: ResponseSpace | None = None,
     strictness: str = STRICT,

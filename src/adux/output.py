@@ -1,4 +1,4 @@
-"""Output files and the session-CSV writer.
+"""Output files, the session-CSV writer and the result serializers.
 
 Every file adux writes goes through :func:`open_output`: a temp file that
 replaces the destination only once the write has finished, so a failed run
@@ -12,22 +12,29 @@ line break or a NUL, or one that is not a ``str``, ``int`` or ``bool``) is
 rendered by it instead.
 
 This module imports none of the metric modules, so ``adux simulate`` writes
-its log without loading the evaluation stack.
+its log, and ``adux bucs`` prints its interval, without loading the
+ingestion and evaluation stack.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import os
 import tempfile
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from itertools import chain, islice
 from pathlib import Path
-from typing import IO
+from typing import IO, TYPE_CHECKING, Any
 
 from .errors import IoFailure
+
+if TYPE_CHECKING:
+    from .bayes import BucsResult, CredibleInterval
+    from .drift import TdcFit
+    from .entropy import EntropyBits
 
 _SESSION_COLUMNS = ("session_id", "category", "period", "rating", "task_completed")
 _TASK_CELL = {True: "true", False: "false", None: ""}
@@ -108,3 +115,66 @@ def _write_text(text: str, destination: str | Path | IO[str] | None) -> str:
         with open_output(destination) as handle:
             handle.write(text)
     return text
+
+
+def _num(x: float) -> float | int:
+    """Round to at most 9 significant decimals for stable serialization."""
+    if isinstance(x, bool) or not isinstance(x, float):
+        return x
+    rounded = float(f"{x:.9g}")
+    return rounded + 0.0  # normalizes -0.0 to 0.0
+
+
+# One field function per result type: every output that prints a result
+# (the JSON and CSV reports, plot data, `adux iei`, `tdc` and `bucs`) takes
+# its fields, their order and their rounding from these.
+
+
+def _iei_fields(entropy: EntropyBits) -> dict[str, Any]:
+    return {
+        "bits": _num(entropy.value),
+        "normalized": _num(entropy.normalized),
+        "n": entropy.n_ratings,
+    }
+
+
+def _tdc_fields(fit: TdcFit) -> dict[str, Any]:
+    return {
+        "beta0": _num(fit.beta0),
+        "beta1": _num(fit.beta1),
+        "stderr": _num(fit.stderr_beta1),
+        "ci95": [_num(fit.ci95_beta1[0]), _num(fit.ci95_beta1[1])],
+        "residual_sd": _num(fit.residual_sd),
+        "r2": _num(fit.r_squared),
+        "n_points": fit.n_points,
+    }
+
+
+def _bucs_fields(
+    result: BucsResult, with_mode: bool = False, wald: CredibleInterval | None = None
+) -> dict[str, Any]:
+    """The BUCS fields; ``adux bucs`` adds the mode (null when the density
+    peaks on a boundary) and, when it has one, the Wald interval."""
+    fields: dict[str, Any] = {
+        "posterior": {
+            "alpha": _num(result.posterior.alpha),
+            "beta": _num(result.posterior.beta),
+        },
+        "interval": {
+            "lower": _num(result.interval.lower),
+            "upper": _num(result.interval.upper),
+            "mass": _num(result.interval.mass),
+            "kind": result.interval.kind.value,
+            "unique": result.interval.unique,
+        },
+        "mean": _num(result.mean),
+    }
+    if with_mode:
+        fields["mode"] = _num(result.mode)
+    if wald is not None:
+        fields["wald"] = {"lower": _num(wald.lower), "upper": _num(wald.upper)}
+    return fields
+
+
+def _json_text(doc: dict[str, Any]) -> str:
+    return json.dumps(doc, indent=2) + "\n"

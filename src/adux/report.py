@@ -37,7 +37,7 @@ except ImportError:
         from hashlib import sha256
 
 from ._record import record
-from .bayes import BetaParams, BucsResult, CredibleInterval, TrialSummary
+from .bayes import BetaParams, BucsResult, TrialSummary
 from .bayes import bucs, hdi, posterior, wald_ci
 from .drift import MIN_POINTS, TdcFit, UsabilitySeries, fit_tdc, series_from_dataset
 from .entropy import EntropyBits, POOLED, PER_CATEGORY, iei_by_group
@@ -47,6 +47,7 @@ from .errors import EmptyDataset, MissingInput, UnknownFormat
 from .ingest import FORMAT_CSV, FORMAT_JSONL, load_sessions  # noqa: F401
 from .model import Dataset, ResponseSpace, SessionCounts, validate_dataset  # noqa: F401
 from .output import _SESSION_COLUMNS, _write_text, open_output, write_sessions  # noqa: F401
+from .output import _bucs_fields, _iei_fields, _json_text, _num, _tdc_fields
 from .version import __version__
 
 REASON_INSUFFICIENT_PERIODS = "insufficient-periods"
@@ -196,65 +197,6 @@ def evaluate(
 # emission
 
 
-def _num(x: float) -> float | int:
-    """Round to at most 9 significant decimals for stable serialization."""
-    if isinstance(x, bool) or not isinstance(x, float):
-        return x
-    rounded = float(f"{x:.9g}")
-    return rounded + 0.0  # normalizes -0.0 to 0.0
-
-
-# One field function per result type: every output that prints a result
-# (the JSON and CSV reports, plot data, `adux iei`, `tdc` and `bucs`) takes
-# its fields, their order and their rounding from these.
-
-
-def _iei_fields(entropy: EntropyBits) -> dict[str, Any]:
-    return {
-        "bits": _num(entropy.value),
-        "normalized": _num(entropy.normalized),
-        "n": entropy.n_ratings,
-    }
-
-
-def _tdc_fields(fit: TdcFit) -> dict[str, Any]:
-    return {
-        "beta0": _num(fit.beta0),
-        "beta1": _num(fit.beta1),
-        "stderr": _num(fit.stderr_beta1),
-        "ci95": [_num(fit.ci95_beta1[0]), _num(fit.ci95_beta1[1])],
-        "residual_sd": _num(fit.residual_sd),
-        "r2": _num(fit.r_squared),
-        "n_points": fit.n_points,
-    }
-
-
-def _bucs_fields(
-    result: BucsResult, with_mode: bool = False, wald: CredibleInterval | None = None
-) -> dict[str, Any]:
-    """The BUCS fields; ``adux bucs`` adds the mode (null when the density
-    peaks on a boundary) and, when it has one, the Wald interval."""
-    fields: dict[str, Any] = {
-        "posterior": {
-            "alpha": _num(result.posterior.alpha),
-            "beta": _num(result.posterior.beta),
-        },
-        "interval": {
-            "lower": _num(result.interval.lower),
-            "upper": _num(result.interval.upper),
-            "mass": _num(result.interval.mass),
-            "kind": result.interval.kind.value,
-            "unique": result.interval.unique,
-        },
-        "mean": _num(result.mean),
-    }
-    if with_mode:
-        fields["mode"] = _num(result.mode)
-    if wald is not None:
-        fields["wald"] = {"lower": _num(wald.lower), "upper": _num(wald.upper)}
-    return fields
-
-
 def report_document(report: AduxReport, no_meta: bool = False) -> dict[str, Any]:
     """The report as a JSON-ready dict with fixed key order."""
     doc: dict[str, Any] = {
@@ -324,10 +266,6 @@ def _cell(value: Any) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
-
-
-def _json_text(doc: dict[str, Any]) -> str:
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def _csv_text(rows: Iterable[Iterable[Any]]) -> str:

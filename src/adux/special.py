@@ -143,7 +143,10 @@ def beta_pdf(a: float, b: float, x: float) -> float:
         if b < 1.0:
             return math.inf
         return math.exp(-log_beta(a, b)) if b == 1.0 else 0.0
-    return math.exp(log_beta_pdf(a, b, x))
+    try:
+        return math.exp(log_beta_pdf(a, b, x))
+    except OverflowError:  # a tiny a or b: the density beyond any float
+        return math.inf
 
 
 def newton_root(f, lo: float, hi: float, x: float, rtol: float = _NEWTON_RTOL) -> float:
@@ -200,9 +203,11 @@ def _beta_inverse_start(a: float, b: float, p: float) -> float:
     """Rough x with I_x(a, b) = p: Abramowitz & Stegun 26.5.22 when a, b >= 1,
     otherwise the power law of whichever tail holds p."""
     # I_x ~ x^a / (a B) near 0 and 1 - I_x ~ (1 - x)^b / (b B) near 1.
+    # With a tiny a or b, a law can put its root past the far end; the
+    # exponent is capped at 0, so the root stays in [0, 1].
     log_b = log_beta(a, b)
-    lower_root = math.exp((math.log(a * p) + log_b) / a)
-    upper_root = -math.expm1((math.log(b * (1.0 - p)) + log_b) / b)
+    lower_root = math.exp(min(0.0, (math.log(a * p) + log_b) / a))
+    upper_root = -math.expm1(min(0.0, (math.log(b * (1.0 - p)) + log_b) / b))
     if a >= 1.0 and b >= 1.0:
         y = -_normal_quantile_start(p)
         lam = (y * y - 3.0) / 6.0

@@ -1,9 +1,11 @@
 """Any bytes given to `adux report` end in a report or a typed error.
 
-Rows that cannot be read are rejected like any invalid row; input that
-cannot be read at all (bytes that are not UTF-8, a CSV field over
-``csv.field_size_limit()``) exits 2 in both strictness modes and names the
-line. Never a traceback.
+Rows that cannot be read are rejected like any invalid row. A byte that is
+not UTF-8 is read into its row as a lone surrogate, from a file or from
+standard input alike, whatever the locale, and checked there like any
+other character: a category holding one is an invalid row. Input that
+cannot be read at all (a CSV field over ``csv.field_size_limit()``) exits
+2 in both strictness modes and names the line. Never a traceback.
 """
 
 from __future__ import annotations
@@ -30,6 +32,15 @@ GOOD_JSONL = [
 def _report(path, fmt, mode, capsys):
     code = main(["report", "--input", str(path), "--format", fmt, mode, "--no-meta"])
     return code, capsys.readouterr()
+
+
+def _stdin(monkeypatch, data, errors="strict"):
+    # Python decodes standard input strictly under a UTF-8 locale, and with
+    # surrogateescape under the POSIX locale (PEP 538/540); adux reads the
+    # bytes beneath either.
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                                                       errors=errors))
+    return "-"
 
 
 @pytest.mark.parametrize("bad_line", [
@@ -60,16 +71,24 @@ def test_jsonl_row_fault_is_a_rejection(tmp_path, capsys, bad_line):
     ("jsonl", GOOD_JSONL[0].encode() + b"\n" + GOOD_JSONL[1].encode()[:-1]
      + b', "note": "\xff"}\n'),
 ])
-def test_bytes_that_are_not_utf8_exit_two(tmp_path, capsys, fmt, data, mode):
+def test_a_byte_that_is_not_utf8_is_read_into_its_row(tmp_path, capsys, fmt, data, mode):
     path = tmp_path / f"log.{fmt}"
     path.write_bytes(data)
     code, captured = _report(path, fmt, mode, capsys)
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == (
-        f"adux: error: line {2 if fmt == 'jsonl' else 3}: "
-        "not UTF-8 text (invalid start byte)\n"
-    )
+    if fmt == "jsonl":  # in a "note" field, which no metric reads
+        assert code == 0
+        assert json.loads(captured.out)["categories"][0]["iei"]["n"] == 2
+        assert "skipped" not in captured.err
+        return
+    detail = "row 3: category 'ch\\udcffat' is not UTF-8 text\n"
+    if mode == "--strict":
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"adux: error: {detail}"
+    else:
+        assert code == 0
+        assert json.loads(captured.out)["categories"][0]["iei"]["n"] == 1
+        assert captured.err.startswith(f"adux: skipped {detail}")
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -78,10 +97,9 @@ def test_bytes_that_are_not_utf8_exit_two(tmp_path, capsys, fmt, data, mode):
 def test_an_invalid_row_before_undecodable_bytes_comes_first(tmp_path, monkeypatch, capsys,
                                                              mode, bad_row, from_stdin):
     # The bad byte lies some 11 KB in: past the first 8 KB block, which
-    # holds rows 2 and 420, and inside the lines the count reads. Row 590
-    # shares the bad byte's block, which fails to decode as a whole, so
-    # there the bytes come first, as they do row by row. Standard input
-    # here decodes strictly, as it does under a UTF-8 locale.
+    # holds rows 2 and 420, and inside the lines the distinct-line count
+    # reads. Row 590 shares the bad byte's block. Wherever it lies, the
+    # invalid row comes first, and the bad byte's row 603 after it.
     rows = [f"s{i},chat,{i % 4},{1 + i % 5},true\n" for i in range(601)]
     rows[bad_row - 2] = "s1,chat,0,9,true\n"
     data = (b"session_id,category,period,rating,task_completed\n" + "".join(rows).encode()
@@ -89,15 +107,17 @@ def test_an_invalid_row_before_undecodable_bytes_comes_first(tmp_path, monkeypat
     path = tmp_path / "log.csv"
     path.write_bytes(data)
     if from_stdin:
-        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
-        path = "-"
+        path = _stdin(monkeypatch, data)
     code, captured = _report(path, "csv", mode, capsys)
-    assert code == 2
-    assert captured.err == (
-        f"adux: error: row {bad_row}: rating code 9 not in response space (1, 2, 3, 4, 5)\n"
-        if mode == "--strict" and bad_row < 590 else
-        f"adux: error: {'input' if from_stdin else 'line 603'}: not UTF-8 text "
-        "(invalid start byte)\n")
+    rating = f"row {bad_row}: rating code 9 not in response space (1, 2, 3, 4, 5)\n"
+    if mode == "--strict":
+        assert code == 2
+        assert captured.err == f"adux: error: {rating}"
+    else:
+        assert code == 0
+        assert captured.err.startswith(
+            f"adux: skipped {rating}"
+            "adux: skipped row 603: category 'ch\\udcffat' is not UTF-8 text\n")
 
 
 def _surrogate_jsonl(tmp_path, monkeypatch):
@@ -109,12 +129,8 @@ def _surrogate_jsonl(tmp_path, monkeypatch):
 
 
 def _surrogate_stdin(tmp_path, monkeypatch):
-    # Standard input decodes a byte that is not UTF-8 to a lone surrogate
-    # under the POSIX locale (surrogateescape).
     data = CSV_HEADER + b"s0,chat,0,4,true,\ns1,ch\xffat,0,4,true,\ns2,chat,1,5,false,\n"
-    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
-        io.BytesIO(data), encoding="utf-8", errors="surrogateescape"))
-    return ["--input", "-"], "ch\udcffat"
+    return ["--input", _stdin(monkeypatch, data, "surrogateescape")], "ch\udcffat"
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -173,3 +189,34 @@ def test_any_bytes_give_a_report_or_exit_two(tmp_path, capsys, fmt, mode, data):
                  "--report-format", "csv", "--out", str(out)])
     capsys.readouterr()
     assert code in (0, 2)
+
+
+# Valid logs of both formats, with line feeds or lone carriage returns,
+# and with bytes that are not UTF-8 or lone carriage returns spliced in.
+_CSV_LOG = CSV_HEADER + b"".join(
+    f"s{i},chat,{i % 3},{1 + i % 5},{str(i % 2 == 0).lower()},\n".encode() for i in range(6))
+_JSONL_LOG = b"".join(line.encode() + b"\n" for line in GOOD_JSONL)
+
+
+@st.composite
+def _spliced_logs(draw):
+    log = draw(st.sampled_from((_CSV_LOG, _JSONL_LOG)))
+    if draw(st.booleans()):
+        log = log.replace(b"\n", b"\r")
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        at = draw(st.integers(min_value=0, max_value=len(log)))
+        log = log[:at] + draw(st.sampled_from((b"\xff", b"\r"))) + log[at:]
+    return log
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("fmt", ("csv", "jsonl"))
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.one_of(_BYTES, _spliced_logs()))
+def test_a_file_and_stdin_give_the_same_report(tmp_path, monkeypatch, capsys, fmt, mode, data):
+    path = tmp_path / f"same.{fmt}"
+    path.write_bytes(data)
+    from_file = _report(path, fmt, mode, capsys)
+    for errors in ("strict", "surrogateescape"):
+        assert _report(_stdin(monkeypatch, data, errors), fmt, mode, capsys) == from_file

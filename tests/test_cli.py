@@ -93,6 +93,12 @@ class TestExitCodes:
         assert captured.out == ""
         assert "overflows a float" in captured.err
 
+    def test_closed_stdin_is_data_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", None)  # as Python sets it when fd 0 is closed
+        assert main(["report", "--input", "-"]) == 2
+        assert capsys.readouterr().err == (
+            "adux: error: cannot read standard input: it is closed\n")
+
     @pytest.mark.parametrize("prior", ["nan,1", "1,nan", "inf,1", "1,-inf", "1e308,1e308"])
     def test_non_finite_prior_is_usage_error(self, prior, sessions_csv, capsys):
         # A NaN prior would print NaN, which is not JSON (RFC 8259), and an
@@ -122,6 +128,22 @@ class TestBucsCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["posterior"] == {"alpha": 1, "beta": 1}
         assert doc["interval"]["unique"] is False
+
+    @pytest.mark.parametrize("args", [
+        ["bucs", "--n", "0", "--N", "0", "--prior", "0.001,0.001"],
+        ["bucs", "--n", "0", "--N", "5", "--prior", "0.00001,0.00001"],
+        ["bucs", "--n", "0", "--N", "0", "--prior", "1e-300,1e-300"],
+        ["report", "--input", "{log}", "--prior", "0.00001,0.00001"],
+        ["plotdata", "--figure", "fig3", "--p-hat", "0", "--prior", "0.00001,0.00001"],
+    ])
+    def test_vague_prior_exits_zero(self, args, tmp_path, capsys):
+        # Such a posterior's density overflows a float near 0 or 1, and its
+        # quantiles' power-law starts overshot [0, 1].
+        log = tmp_path / "all_failed.csv"
+        log.write_text("session_id,category,period,rating,task_completed\n"
+                       "s1,chat,0,4,false\ns2,chat,1,3,false\n")
+        assert main([arg.format(log=log) for arg in args]) == 0
+        assert capsys.readouterr().out
 
 
 class TestTdcCommand:
@@ -500,12 +522,13 @@ assert adux.cli.main(["--version"]) == 0
 assert adux.cli.main(["--no-such-flag"]) == 64
 assert adux.cli.main(["report", "--input"]) == 64
 unloaded(COMMANDS)
+assert adux.cli.main(["bucs", "--n", "7", "--N", "10"]) == 0
+unloaded(["adux.report", "adux.ingest", "adux.entropy", "adux.drift"])
 assert adux.cli.main(["simulate", "--category", "c", "--probs", "0.2,0.2,0.2,0.2,0.2",
                       "--out", {str(out)!r}]) == 0
 unloaded(EVALUATION)
 assert adux.cli.main(["report", "--input", {str(log)!r}]) == 0
 assert "_hashlib" not in sys.modules, "hashlib's OpenSSL module loaded"
-assert adux.cli.main(["bucs", "--n", "7", "--N", "10"]) == 0
 unloaded(["dataclasses", "inspect"])
 """
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -10,6 +10,7 @@ from scipy import special as sp
 from scipy import stats
 
 from adux.special import (
+    beta_pdf,
     incomplete_beta_inverse,
     log_gamma,
     newton_root,
@@ -139,6 +140,24 @@ class TestIncompleteBetaInverse:
     def test_roots_next_to_a_boundary(self, a, b, p):
         expected = float(sp.betaincinv(a, b, p))
         assert incomplete_beta_inverse(a, b, p) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("prior", [1e-20, 1e-5, 1e-3, 1e-2])
+    @pytest.mark.parametrize("n, N", [(0, 0), (0, 1), (0, 5), (1, 1), (3, 5), (5, 5),
+                                      (2, 10), (0, 100), (100, 100)])
+    def test_posteriors_of_a_vague_prior(self, prior, n, N):
+        # A density beyond any float near 0 or 1, and power-law starts whose
+        # exponents overflowed exp().
+        a, b = prior + n, prior + (N - n)
+        for p in (0.025, 0.05, 0.5, 0.95, 0.975):
+            expected = float(sp.betaincinv(a, b, p))
+            assert incomplete_beta_inverse(a, b, p) == pytest.approx(expected, abs=1e-10)
+
+    def test_shapes_near_zero_raise_nothing(self):
+        # Beta(1e-300, 1e-300) puts half its mass within a float of 0 and
+        # half within one of 1, so no float median is better than another.
+        assert 0.0 <= incomplete_beta_inverse(1e-300, 1e-300, 0.5) <= 1.0
+        # A density past the largest float reads as infinite.
+        assert beta_pdf(1e-5, 5.0, 5e-324) == math.inf
 
 
 class TestStudentT:

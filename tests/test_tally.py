@@ -455,7 +455,9 @@ def _jsonl_by_loads(handle):
 def _jsonl_outcomes(text):
     """What `tally_sessions` makes of a JSON-lines log, in every mode."""
     outcomes = []
-    for newline in (None, ""):  # as stdin reads it, and as a file does
+    # As a text handle opened with the default newline reads it, and as
+    # ingest reads every binary source.
+    for newline in (None, ""):
         for strictness in (STRICT, SKIP_INVALID):
             for aggregation in (POOLED, MEAN_OF_SESSIONS):
                 def run():
