@@ -5,8 +5,8 @@ validation failures, 64 on usage errors. Results go to stdout or ``--out``;
 diagnostics go to stderr. Output files are written atomically, so a failed
 run never leaves a partial file behind.
 
-``simulate`` checks its specs, then writes each session row as it is
-drawn, so its memory holds one period's rows, not the log.
+``simulate`` checks its specs, then writes each period's sessions as they
+are drawn, so its memory holds one period's rows, not the log.
 """
 
 from __future__ import annotations
@@ -50,11 +50,11 @@ _COMMAND_NAMES = {
     # benchmark/child.py times them under these names and reads 0 for them,
     # as it does for every other span a command skips.
     "ingest": ("load_sessions", "tally_sessions"),
-    "output": ("open_output", "write_sessions", "_write_text",
+    "output": ("open_output", "write_session_columns", "_write_text",
                "_bucs_fields", "_iei_fields", "_json_text", "_tdc_fields"),
     "report": ("EvalConfig", "Fig3Spec", "emit_plot_data", "emit_report", "emit_sessions",
                "evaluate"),
-    "synth": ("GeneratorSpec", "category_presets", "gen_ratings", "gen_session_rows"),
+    "synth": ("GeneratorSpec", "category_presets", "gen_ratings", "gen_session_columns"),
 }
 _SOURCE = {name: module for module, names in _COMMAND_NAMES.items() for name in names}
 _cli = sys.modules[__name__]
@@ -339,7 +339,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         named = ("seed " if len(seeds) == 1 else "seeds ") + ", ".join(map(str, seeds))
     print(f"adux: simulated {rows} sessions ({named})", file=sys.stderr)
     with _cli.open_output(args.out or sys.stdout) as handle:
-        _cli.write_sessions(chain.from_iterable(map(_cli.gen_session_rows, specs)), handle)
+        _cli.write_session_columns(
+            chain.from_iterable(map(_cli.gen_session_columns, specs)), handle)
     return EXIT_OK
 
 
@@ -451,6 +452,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
+        if args.out is None and sys.stdout is None:  # as Python sets it when fd 1 is closed
+            raise IoFailure("cannot write standard output: it is closed")
         return args.func(args)
     except _UsageError as exc:
         print(f"adux: usage error: {exc}", file=sys.stderr)

@@ -2,9 +2,11 @@
 
 Bytes become text here alone: a path or a binary handle, standard input
 included, is read as UTF-8 whatever the locale, its lines ending at ``\n``,
-``\r\n`` or ``\r``. A byte that is not UTF-8 reaches its row as a lone
-surrogate (``surrogateescape``), where a category holding one is rejected
-like any invalid row. A caller's text handle is read as it is.
+``\r\n`` or ``\r``; a UTF-8 byte-order mark at its very start is dropped,
+and one anywhere else is text of its line. A byte that is not UTF-8
+reaches its row as a lone surrogate (``surrogateescape``), where a
+category holding one is rejected like any invalid row. A caller's text
+handle is read as it is.
 
 Every row passes the checks of the one :class:`~adux.model.RowValidator`.
 :func:`tally_sessions` keeps only the counts every metric needs,
@@ -346,14 +348,15 @@ def _ingest(
             if not hasattr(handle, "read"):
                 handle = stack.enter_context(open(handle, "rb"))
             if not isinstance(handle, io.TextIOBase):
-                handle = io.TextIOWrapper(handle, encoding="utf-8", errors="surrogateescape",
-                                          newline="")
+                handle = io.TextIOWrapper(handle, encoding="utf-8-sig",
+                                          errors="surrogateescape", newline="")
                 # Hands the bytes back when the scan ends, so that the
                 # wrapper never closes a caller's handle or standard input.
                 stack.callback(handle.detach)
             origin = _scan(handle, fmt_key, validator, keep, counts)
     except OSError as exc:
-        raise IoFailure(f"cannot read {source}: {exc}") from exc
+        name = getattr(source, "name", source) if hasattr(source, "read") else source
+        raise IoFailure(f"cannot read {name}: {exc}") from exc
     except UnicodeDecodeError as exc:  # a caller's text handle that decodes strictly
         raise MalformedRow(f"input: not UTF-8 text ({exc.reason})") from None
 

@@ -4,12 +4,15 @@ Every file adux writes goes through :func:`open_output`: a temp file that
 replaces the destination only once the write has finished, so a failed run
 never leaves a partially written output behind.
 
-:func:`write_sessions` renders session rows as they come, a chunk at a
-time, for ``adux simulate`` and for :func:`adux.report.emit_sessions`
-alike. Each chunk is one join of its rows' cells; a chunk that
-``csv.writer`` would render otherwise (a cell holding a comma, a quote, a
-line break or a NUL, or one that is not a ``str``, ``int`` or ``bool``) is
-rendered by it instead.
+:func:`write_session_columns` is the one session-CSV renderer. It takes
+rows as columns, session ids and parallel row keys ``(category, period,
+rating, task_completed)``, and writes them a chunk at a time, each row as
+its session id plus its key's tail, rendered once per distinct key in the
+chunk. ``adux simulate`` hands it each drawn period; :func:`write_sessions`
+splits row tuples into those columns for :func:`adux.report.emit_sessions`
+and other callers. A chunk that ``csv.writer`` would render otherwise (a
+cell holding a comma, a quote, a line break or a NUL, or one that is not
+text, an integer or a boolean) is rendered by it instead.
 
 This module imports none of the metric modules, so ``adux simulate`` writes
 its log, and ``adux bucs`` prints its interval, without loading the
@@ -25,7 +28,8 @@ import os
 import tempfile
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from itertools import chain, islice
+from itertools import islice
+from operator import add
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any
 
@@ -39,7 +43,8 @@ if TYPE_CHECKING:
 _SESSION_COLUMNS = ("session_id", "category", "period", "rating", "task_completed")
 _TASK_CELL = {True: "true", False: "false", None: ""}
 _CHUNK_ROWS = 8192
-_PLAIN_CELLS = frozenset((str, int, bool))
+# What csv quotes in a cell, or refuses (a NUL, before Python 3.11).
+_CSV_SPECIALS = (",", '"', "\r", "\n", "\0")
 
 
 def _csv_lines(rows: list[tuple]) -> str:
@@ -57,32 +62,85 @@ def _csv_lines(rows: list[tuple]) -> str:
     return "".join(parts)
 
 
+def _plain(text: str) -> bool:
+    return not any(special in text for special in _CSV_SPECIALS)
+
+
+def _tail(key: tuple) -> str | None:
+    """The text after the session id of a row with this key, or None when
+    csv would render the key's cells otherwise."""
+    category, period, rating, task = key
+    if (type(category) is not str or not _plain(category)
+            or type(period) is not int or type(rating) is not int
+            or not (task is True or task is False or task is None)):
+        return None
+    return f",{category},{period},{rating},{_TASK_CELL[task]}\n"
+
+
+def _session_lines(ids: list, keys: list[tuple]) -> str:
+    """The CSV lines of one chunk of rows, given as their session ids and
+    their keys ``(category, period, rating, task_completed)``."""
+    try:
+        tails = {key: _tail(key) for key in set(keys)}
+        plain = None not in tails.values() and _plain("".join(ids))
+    except TypeError:  # an unhashable cell, or a session id that is not a str
+        plain = False
+    if plain:
+        return "".join(map(add, ids, map(tails.__getitem__, keys)))
+    return _csv_lines([(s, c, p, r, _TASK_CELL[t]) for s, (c, p, r, t) in zip(ids, keys)])
+
+
+def write_session_columns(
+    columns: Iterable[tuple[list[str], list[tuple[str, int, int, bool | None]]]],
+    handle: IO[str],
+) -> None:
+    """Write session rows, given in runs of columns, to an open text handle
+    in the session CSV format.
+
+    Each run is a list of session ids and a parallel list of row keys
+    ``(category, period, rating, task_completed)``. Runs are gathered and
+    written a chunk of rows at a time, and a run longer than a chunk is
+    written in slices, so memory holds one run and one chunk of text, not
+    the log. Every row ends in a line feed; a cell holding a carriage
+    return is quoted.
+
+    A row's text is its session id followed by its key's tail, rendered
+    once per distinct key in the chunk. When csv would render a chunk
+    otherwise (a cell holding a comma, a quote or a line break, or a cell
+    that is not text, an integer or a boolean, such as ``None``) or refuse
+    it (a NUL, before Python 3.11), the chunk is rendered by
+    ``csv.writer`` instead.
+    """
+    handle.write(",".join(_SESSION_COLUMNS) + "\n")
+    ids: list = []
+    keys: list = []
+    for run_ids, run_keys in columns:
+        ids += run_ids
+        keys += run_keys
+        whole = len(ids) - len(ids) % _CHUNK_ROWS
+        for start in range(0, whole, _CHUNK_ROWS):
+            end = start + _CHUNK_ROWS
+            handle.write(_session_lines(ids[start:end], keys[start:end]))
+        del ids[:whole], keys[:whole]
+    if ids:
+        handle.write(_session_lines(ids, keys))
+
+
+def _row_columns(rows: Iterator[tuple]) -> Iterator[tuple[list, list]]:
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        yield [row[0] for row in chunk], [row[1:] for row in chunk]
+
+
 def write_sessions(
     rows: Iterable[tuple[str, str, int, int, bool | None]], handle: IO[str]
 ) -> None:
-    """Write session rows to an open text handle in the session CSV format.
+    """Write session rows ``(session_id, category, period, rating,
+    task_completed)`` to an open text handle in the session CSV format.
 
-    Rows are rendered and written a chunk at a time as they are consumed,
-    so memory holds one chunk, not the log. Every row ends in a line feed;
-    a cell holding a carriage return is quoted.
-
-    A chunk is rendered by one join of its rows' cells. When csv would
-    render it otherwise (a cell holding a comma, a quote or a line break,
-    or a cell that is not a ``str``, ``int`` or ``bool``, such as ``None``)
-    or refuse it (a NUL, before Python 3.11), the chunk is rendered by
-    ``csv.writer`` instead.
+    Rows are consumed a chunk at a time and written as
+    :func:`write_session_columns` writes their columns.
     """
-    rows = iter(rows)
-    handle.write(",".join(_SESSION_COLUMNS) + "\n")
-    while chunk := list(islice(rows, _CHUNK_ROWS)):
-        text = "".join([f"{s},{c},{p},{r},{_TASK_CELL[t]}\n" for s, c, p, r, t in chunk])
-        n = len(chunk)
-        if (text.count(",") != 4 * n or text.count("\n") != n
-                or '"' in text or "\r" in text or "\0" in text
-                or not _PLAIN_CELLS.issuperset(
-                    map(type, chain.from_iterable(islice(zip(*chunk), 4))))):
-            text = _csv_lines([(s, c, p, r, _TASK_CELL[t]) for s, c, p, r, t in chunk])
-        handle.write(text)
+    write_session_columns(_row_columns(iter(rows)), handle)
 
 
 @contextmanager

@@ -12,9 +12,11 @@ built from those uniforms: rating codes by inverse CDF, task outcomes and
 Binomial counts by comparing uniforms with p, and Gaussian noise by the
 Box-Muller transform of uniform pairs.
 
-:func:`gen_session_rows` draws a spec's sessions one period at a time, so
-``adux simulate`` writes them as they are drawn; :func:`gen_ratings`
-collects the same rows into a :class:`~adux.model.Dataset`.
+:func:`gen_session_columns` draws a spec's sessions one period at a time,
+as columns of session ids and row keys, so ``adux simulate`` writes them
+as they are drawn; :func:`gen_session_rows` gives the same draws as row
+tuples, and :func:`gen_ratings` collects them into a
+:class:`~adux.model.Dataset`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import math
 import random
 from bisect import bisect_right
 from collections.abc import Iterator
-from itertools import accumulate, repeat
+from itertools import accumulate
+from operator import getitem
 
 from ._record import record
 from .bayes import TrialSummary
@@ -107,25 +110,40 @@ def _box_muller(rng: random.Random, size: int) -> list[float]:
     return out[:size]
 
 
-def gen_session_rows(spec: GeneratorSpec) -> Iterator[tuple[str, str, int, int, bool]]:
-    """Synthetic session rows ``(session_id, category, period, rating,
-    task_completed)``: one rated session per (period, session) cell.
+def gen_session_columns(
+    spec: GeneratorSpec,
+) -> Iterator[tuple[list[str], list[tuple[str, int, int, bool]]]]:
+    """Synthetic sessions, one period at a time, as columns: the period's
+    session ids and a parallel list of row keys ``(category, period,
+    rating, task_completed)``, one rated session per (period, session)
+    cell.
 
     Ratings are drawn from the spec's (possibly per-period) distribution and
     each session gets a Bernoulli(completion_p) task outcome. The draws are
-    made one period at a time, as the rows are consumed: first one uniform
-    per session for the period's codes, then one per session for its
-    outcomes. Deterministic for a fixed seed.
+    made one period at a time, as the periods are consumed: first one
+    uniform per session for the period's codes, then one per session for
+    its outcomes. Rows with the same rating and outcome share one key
+    object. Deterministic for a fixed seed.
     """
     rng = random.Random(spec.seed)
     u, p = rng.random, spec.completion_p
-    size = spec.sessions_per_period
+    category, size = spec.category, spec.sessions_per_period
     for t in range(spec.periods):
         codes = _sample_codes(rng, spec.distribution_for(t), size)
         completed = [u() < p for _ in range(size)]
-        prefix = f"{spec.category}-p{t}-s"
-        yield from zip([f"{prefix}{i}" for i in range(size)],
-                       repeat(spec.category), repeat(t), codes, completed)
+        # Indexed by the outcome: False is 0, True is 1.
+        keys_of = {code: ((category, t, code, False), (category, t, code, True))
+                   for code in set(codes)}
+        prefix = f"{category}-p{t}-s"
+        yield ([f"{prefix}{i}" for i in range(size)],
+               list(map(getitem, map(keys_of.__getitem__, codes), completed)))
+
+
+def gen_session_rows(spec: GeneratorSpec) -> Iterator[tuple[str, str, int, int, bool]]:
+    """The sessions of :func:`gen_session_columns` as rows ``(session_id,
+    category, period, rating, task_completed)``, drawn as they are consumed."""
+    for ids, keys in gen_session_columns(spec):
+        yield from ((s, *key) for s, key in zip(ids, keys))
 
 
 def gen_ratings(spec: GeneratorSpec) -> Dataset:

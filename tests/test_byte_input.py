@@ -11,6 +11,7 @@ cannot be read at all (a CSV field over ``csv.field_size_limit()``) exits
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
 import sys
@@ -19,6 +20,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from adux.cli import main
+from adux.errors import IoFailure, MalformedRow
+from adux.ingest import load_sessions
 
 MODES = ("--strict", "--skip-invalid")
 CSV_HEADER = b"session_id,category,period,rating,task_completed,timestamp\n"
@@ -220,3 +223,52 @@ def test_a_file_and_stdin_give_the_same_report(tmp_path, monkeypatch, capsys, fm
     from_file = _report(path, fmt, mode, capsys)
     for errors in ("strict", "surrogateescape"):
         assert _report(_stdin(monkeypatch, data, errors), fmt, mode, capsys) == from_file
+
+
+
+BOM = b"\xef\xbb\xbf"
+BOM_LOGS = {
+    "csv": b"session_id,category,period,rating\ns0,chat,0,3\n" + BOM + b"s1,chat,1,4\n",
+    "jsonl": b'{"session_id": "s0", "category": "chat", "period": 0, "rating": 3}\n'
+             + BOM + b'{"session_id": "s1", "category": "chat", "period": 1, "rating": 4}\n',
+}
+
+
+@pytest.mark.parametrize("from_stdin", [False, True])
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_a_byte_order_mark_is_dropped_only_at_the_start(tmp_path, monkeypatch, capsys, fmt,
+                                                       from_stdin):
+    log = BOM + BOM_LOGS[fmt]
+    path = tmp_path / f"log.{fmt}"
+    path.write_bytes(log)
+    source = _stdin(monkeypatch, log) if from_stdin else path
+    code = main(["iei", "--input", str(source), "--format", fmt, "--skip-invalid"])
+    captured = capsys.readouterr()
+    assert code == 0
+    if fmt == "csv":  # the second mark is the start of a session id
+        assert captured.err == ""
+        assert json.loads(captured.out)["groups"][0]["n"] == 2
+        ids = [o.session_id for o in load_sessions(path).dataset.observations]
+        assert ids == ["s0", "\ufeffs1"]
+    else:  # a line that starts with the second mark is not JSON
+        assert captured.err.startswith("adux: skipped row 2: ")
+        assert json.loads(captured.out)["groups"][0]["n"] == 1
+
+
+def test_a_text_handle_keeps_its_byte_order_mark():
+    with pytest.raises(MalformedRow, match="missing required column"):
+        load_sessions(io.StringIO((BOM + BOM_LOGS["csv"]).decode("utf-8")))
+
+
+def test_an_unreadable_handle_is_named_by_its_name():
+    class Unreadable(io.RawIOBase):
+        name = "<stdin>"
+
+        def readable(self):
+            return True
+
+        def readinto(self, buffer):
+            raise OSError(errno.EBADF, "Bad file descriptor")
+
+    with pytest.raises(IoFailure, match=r"^cannot read <stdin>: \[Errno 9\] Bad file"):
+        load_sessions(Unreadable())

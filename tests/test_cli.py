@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from adux import output
 from adux.cli import MAX_SCALE_LEVELS, _specs_from_config_file, main
 from adux.model import Dataset
 from adux.report import emit_sessions
@@ -98,6 +99,21 @@ class TestExitCodes:
         assert main(["report", "--input", "-"]) == 2
         assert capsys.readouterr().err == (
             "adux: error: cannot read standard input: it is closed\n")
+
+    @pytest.mark.parametrize("args", [
+        # The input does not exist: the closed output is found before any is read.
+        ["iei", "--input", "/nonexistent.csv"],
+        ["tdc", "--input", "/nonexistent.csv"],
+        ["bucs", "--n", "7", "--N", "10"],
+        ["report", "--input", "/nonexistent.csv"],
+        ["plotdata", "--figure", "fig3", "--p-hat", "0.5"],
+        ["simulate", "--preset", "all", "--seed", "7"],
+    ])
+    def test_closed_stdout_is_data_error(self, args, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdout", None)  # as Python sets it when fd 1 is closed
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            "adux: error: cannot write standard output: it is closed\n")
 
     @pytest.mark.parametrize("prior", ["nan,1", "1,nan", "inf,1", "1,-inf", "1e308,1e308"])
     def test_non_finite_prior_is_usage_error(self, prior, sessions_csv, capsys):
@@ -460,6 +476,22 @@ class TestSimulateStreaming:
         assert text == emit_sessions(merged)
         assert text == session_csv(merged.observations)
         assert '"car\rriage"' in text
+
+    def test_periods_longer_than_a_chunk_match_merged_datasets(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # Periods of 25 rows are written in slices of 7, and short periods
+        # gathered into chunks; a chunk holding a quoted category falls
+        # inside a period.
+        monkeypatch.setattr(output, "_CHUNK_ROWS", 7)
+        entries = [{"category": name, "probs": [0.1, 0.2, 0.3, 0.2, 0.2], "periods": 3,
+                    "sessions_per_period": size, "seed": 5 + i}
+                   for i, (name, size) in enumerate([("plain", 25), ("a,b", 25), ("few", 3)])]
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({"specs": entries}))
+        text, _ = self._both_outputs(["simulate", "--config", str(config)], tmp_path, capsys)
+        merged = _merged(_specs_from_config_file(str(config), 42))
+        assert text == session_csv(merged.observations)
+        assert '"a,b"' in text
 
     def test_mixed_scales_write_nothing(self, tmp_path, capsys):
         config = tmp_path / "spec.json"

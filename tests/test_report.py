@@ -353,6 +353,16 @@ _OBSERVATIONS = st.lists(
     st.builds(SessionObservation, _CELL_TEXT, _CELL_TEXT, st.integers(0, 40),
               st.integers(1, 5), st.sampled_from([True, False, None])),
     max_size=12)
+# Runs of rows that share a category and a period, so that rows repeat a
+# tail and chunk boundaries fall inside runs; some ids are not text.
+_OBSERVATION_RUNS = st.lists(
+    st.tuples(_CELL_TEXT, st.integers(0, 40), st.lists(
+        st.tuples(_CELL_TEXT | st.none(), st.integers(1, 5),
+                  st.sampled_from([True, False, None])),
+        min_size=1, max_size=6)),
+    max_size=4,
+).map(lambda runs: [SessionObservation(s, c, p, r, t)
+                    for c, p, rows in runs for s, r, t in rows])
 
 
 class TestEmitSessions:
@@ -362,7 +372,7 @@ class TestEmitSessions:
         assert load_sessions(io.StringIO(text)).dataset == ds
 
     @settings(max_examples=300, deadline=None)
-    @given(observations=_OBSERVATIONS, chunk_rows=st.integers(1, 4))
+    @given(observations=_OBSERVATIONS | _OBSERVATION_RUNS, chunk_rows=st.integers(1, 4))
     def test_matches_csv_writer_oracle(self, observations, chunk_rows):
         ds = Dataset(space=five_point(), observations=tuple(observations))
         with mock.patch.object(output_module, "_CHUNK_ROWS", chunk_rows):
