@@ -1,18 +1,21 @@
-"""Output files, the session-CSV writer and the result serializers.
+"""Output files, the one CSV writer and the result serializers.
 
 Every file adux writes goes through :func:`open_output`: a temp file that
 replaces the destination only once the write has finished, so a failed run
 never leaves a partially written output behind.
 
-:func:`write_session_columns` is the one session-CSV renderer. It takes
-rows as columns, session ids and parallel row keys ``(category, period,
-rating, task_completed)``, and writes them a chunk at a time, each row as
-its session id plus its key's tail, rendered once per distinct key in the
-chunk. ``adux simulate`` hands it each drawn period; :func:`write_sessions`
-splits row tuples into those columns for :func:`adux.report.emit_sessions`
-and other callers. A chunk that ``csv.writer`` would render otherwise (a
-cell holding a comma, a quote, a line break or a NUL, or one that is not
-text, an integer or a boolean) is rendered by it instead.
+:func:`_csv_lines` is the one CSV writer: the CSV report, the plot-data
+tables and the session log all print through it, with one cell rule (``None``
+is an empty cell, a boolean ``true`` or ``false``), and a carriage return
+inside a cell is quoted on every Python. :func:`write_session_columns` is
+the session-CSV renderer. It takes rows as columns, session ids and parallel
+row keys ``(category, period, rating, task_completed)``, and writes them a
+chunk at a time, each row as its session id plus its key's tail, rendered
+once per distinct key in the chunk. ``adux simulate`` hands it each drawn
+period, and :func:`adux.report.emit_sessions` a dataset's observations a
+chunk at a time. A chunk that the writer would render otherwise (a cell
+holding a comma, a quote, a line break or a NUL, or one that is not text,
+an integer or a boolean) is rendered by it instead.
 
 This module imports none of the metric modules, so ``adux simulate`` writes
 its log, and ``adux bucs`` prints its interval, without loading the
@@ -28,7 +31,6 @@ import os
 import tempfile
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from itertools import islice
 from operator import add
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any
@@ -41,23 +43,35 @@ if TYPE_CHECKING:
     from .entropy import EntropyBits
 
 _SESSION_COLUMNS = ("session_id", "category", "period", "rating", "task_completed")
-_TASK_CELL = {True: "true", False: "false", None: ""}
 _CHUNK_ROWS = 8192
 # What csv quotes in a cell, or refuses (a NUL, before Python 3.11).
 _CSV_SPECIALS = (",", '"', "\r", "\n", "\0")
 
 
-def _csv_lines(rows: list[tuple]) -> str:
-    # A "\n"-terminated writer leaves a "\r" inside a cell unquoted, and
-    # the reader refuses that line; a "\r\n"-terminated writer quotes it.
-    # Other cells come out as a "\n"-terminated writer renders them.
+def _cell(value: Any) -> Any:
+    """A cell as every CSV table prints it: ``None`` is empty and a boolean
+    ``true`` or ``false``; csv writes any other value as ``str`` does."""
+    if value is None:
+        return ""
+    if value is True or value is False:
+        return "true" if value else "false"
+    return value
+
+
+def _csv_lines(rows: Iterable[Iterable[Any]]) -> str:
+    """The CSV lines of these rows, each ended by a line feed; floats must
+    arrive rounded by :func:`_num`."""
+    # A "\n"-terminated writer leaves a "\r" inside a cell unquoted before
+    # Python 3.13, and the reader splits that line; a "\r\n"-terminated
+    # writer quotes it. Other cells come out as a "\n"-terminated writer
+    # renders them.
     line = io.StringIO()
     writer = csv.writer(line, lineterminator="\r\n")
     parts = []
     for row in rows:
         line.seek(0)
         line.truncate()
-        writer.writerow(row)
+        writer.writerow(map(_cell, row))
         parts.append(line.getvalue()[:-2] + "\n")
     return "".join(parts)
 
@@ -74,7 +88,7 @@ def _tail(key: tuple) -> str | None:
             or type(period) is not int or type(rating) is not int
             or not (task is True or task is False or task is None)):
         return None
-    return f",{category},{period},{rating},{_TASK_CELL[task]}\n"
+    return f",{category},{period},{rating},{_cell(task)}\n"
 
 
 def _session_lines(ids: list, keys: list[tuple]) -> str:
@@ -87,7 +101,7 @@ def _session_lines(ids: list, keys: list[tuple]) -> str:
         plain = False
     if plain:
         return "".join(map(add, ids, map(tails.__getitem__, keys)))
-    return _csv_lines([(s, c, p, r, _TASK_CELL[t]) for s, (c, p, r, t) in zip(ids, keys)])
+    return _csv_lines((session_id, *key) for session_id, key in zip(ids, keys))
 
 
 def write_session_columns(
@@ -109,7 +123,7 @@ def write_session_columns(
     otherwise (a cell holding a comma, a quote or a line break, or a cell
     that is not text, an integer or a boolean, such as ``None``) or refuse
     it (a NUL, before Python 3.11), the chunk is rendered by
-    ``csv.writer`` instead.
+    :func:`_csv_lines` instead.
     """
     handle.write(",".join(_SESSION_COLUMNS) + "\n")
     ids: list = []
@@ -124,23 +138,6 @@ def write_session_columns(
         del ids[:whole], keys[:whole]
     if ids:
         handle.write(_session_lines(ids, keys))
-
-
-def _row_columns(rows: Iterator[tuple]) -> Iterator[tuple[list, list]]:
-    while chunk := list(islice(rows, _CHUNK_ROWS)):
-        yield [row[0] for row in chunk], [row[1:] for row in chunk]
-
-
-def write_sessions(
-    rows: Iterable[tuple[str, str, int, int, bool | None]], handle: IO[str]
-) -> None:
-    """Write session rows ``(session_id, category, period, rating,
-    task_completed)`` to an open text handle in the session CSV format.
-
-    Rows are consumed a chunk at a time and written as
-    :func:`write_session_columns` writes their columns.
-    """
-    write_session_columns(_row_columns(iter(rows)), handle)
 
 
 @contextmanager
@@ -164,7 +161,8 @@ def open_output(destination: str | Path | IO[str]) -> Iterator[IO[str]]:
             os.unlink(tmp_name)
             raise
     except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+        # The OS reason alone: the exception's own text names the temp file.
+        raise IoFailure(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _write_text(text: str, destination: str | Path | IO[str] | None) -> str:

@@ -9,18 +9,18 @@ machine-readable reason code instead of being silently dropped.
 Every metric needs only counts, so the pipeline streams: one pass reads,
 validates and counts each row (:func:`~adux.ingest.tally_sessions`), and
 :func:`evaluate` works from those counts, or tallies a :class:`Dataset`
-of row objects first. :func:`emit_sessions` writes a dataset back as a
-session log through :func:`adux.output.write_sessions`, and every file is
-written through :func:`adux.output.open_output`, so a failed run never
-leaves a partially written output behind.
+of row objects first. The CSV report, the plot data and the session log
+that :func:`emit_sessions` writes back from a dataset all print through
+the one CSV writer in :mod:`adux.output`, and every file is written
+through :func:`adux.output.open_output`, so a failed run never leaves a
+partially written output behind.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import json
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from datetime import datetime, timezone
 from operator import attrgetter
 from pathlib import Path
@@ -46,8 +46,9 @@ from .errors import EmptyDataset, MissingInput, UnknownFormat
 # (benchmark/child.py times validate_dataset under this name).
 from .ingest import FORMAT_CSV, FORMAT_JSONL, load_sessions  # noqa: F401
 from .model import Dataset, ResponseSpace, SessionCounts, validate_dataset  # noqa: F401
-from .output import _SESSION_COLUMNS, _write_text, open_output, write_sessions  # noqa: F401
+from .output import _CHUNK_ROWS, _csv_lines, _write_text, write_session_columns
 from .output import _bucs_fields, _iei_fields, _json_text, _num, _tdc_fields
+from .output import open_output  # noqa: F401
 from .version import __version__
 
 REASON_INSUFFICIENT_PERIODS = "insufficient-periods"
@@ -58,7 +59,7 @@ REASON_NO_TASK_OUTCOMES = "no-task-outcomes"
 # session logs
 
 
-_row_of = attrgetter(*_SESSION_COLUMNS)
+_key_of = attrgetter("category", "period", "rating", "task_completed")
 
 
 def emit_sessions(
@@ -66,8 +67,12 @@ def emit_sessions(
 ) -> str:
     """Render a dataset back to the session CSV format (round-trips with
     :func:`load_sessions`)."""
+    rows = dataset.observations
+    chunks = (rows[start:start + _CHUNK_ROWS] for start in range(0, len(rows), _CHUNK_ROWS))
     buffer = io.StringIO()
-    write_sessions(map(_row_of, dataset.observations), buffer)
+    write_session_columns(
+        (([o.session_id for o in chunk], list(map(_key_of, chunk))) for chunk in chunks),
+        buffer)
     return _write_text(buffer.getvalue(), destination)
 
 
@@ -260,23 +265,6 @@ def _report_csv_table(doc: dict[str, Any]) -> Iterator[tuple]:
             yield (entry["name"], metric, *map(cells.get, _CSV_COLUMNS[2:]))
 
 
-def _cell(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
-def _csv_text(rows: Iterable[Iterable[Any]]) -> str:
-    """A CSV table; its floats must arrive rounded by :func:`_num`."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    for row in rows:
-        writer.writerow(map(_cell, row))
-    return buffer.getvalue()
-
-
 def emit_report(
     report: AduxReport,
     fmt: str = "json",
@@ -291,7 +279,7 @@ def emit_report(
     if fmt == "json":
         text = _json_text(report_document(report, no_meta=no_meta))
     elif fmt == "csv":
-        text = _csv_text(_report_csv_table(report_document(report, no_meta=True)))
+        text = _csv_lines(_report_csv_table(report_document(report, no_meta=True)))
     else:
         raise UnknownFormat(f"unsupported report format {fmt!r} (expected json or csv)")
     return _write_text(text, destination)
@@ -363,4 +351,4 @@ def emit_plot_data(
     destination: str | Path | IO[str] | None = None,
 ) -> str:
     """Write one figure's plot-data table as headered CSV."""
-    return _write_text(_csv_text(plot_data_rows(source, figure)), destination)
+    return _write_text(_csv_lines(plot_data_rows(source, figure)), destination)

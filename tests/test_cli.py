@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import errno
 import json
 import os
 import subprocess
@@ -9,6 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from adux import output
 from adux.cli import MAX_SCALE_LEVELS, _specs_from_config_file, main
@@ -259,6 +262,70 @@ class TestReportCommand:
         out = tmp_path / "missing-dir" / "report.json"
         assert main(["report", "--input", sessions_csv, "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("destination, code", [
+        ("missing-dir/report.json", errno.ENOENT),
+        ("a-directory", errno.EISDIR),
+    ])
+    def test_unwritable_out_names_destination_and_reason(
+            self, destination, code, sessions_csv, tmp_path, capsys):
+        (tmp_path / "a-directory").mkdir()
+        out = tmp_path / destination
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["report", "--input", sessions_csv, "--out", str(out)]) == 2
+        # The OS reason, not the text of an exception that names the temp file.
+        assert capsys.readouterr().err.endswith(
+            f"adux: error: cannot write {out}: {os.strerror(code)}\n")
+        assert sorted(tmp_path.rglob("*")) == before
+
+
+# Categories that a CSV cell must quote: a delimiter, a quote, a line feed
+# and a carriage return.
+QUOTED_CATEGORIES = ("a,b", 'say "hi"', "new\nline", "car\rriage")
+# Python 3.10's csv module neither writes nor reads a NUL inside a cell.
+CATEGORY_TEXT = st.text(min_size=1, max_size=6).filter(
+    lambda text: sys.version_info >= (3, 11) or "\0" not in text)
+
+
+class TestCsvTablesReadBack:
+    """The CSV report and plot data, read back by csv.reader, give the JSON
+    report's category names whole, on every supported Python."""
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(drawn=CATEGORY_TEXT)
+    @example(drawn="\r")
+    def test_categories_come_back_whole(self, drawn, tmp_path):
+        categories = sorted({*QUOTED_CATEGORIES, drawn})
+        periods = range(5)
+        log = tmp_path / "log.jsonl"
+        log.write_text("".join(
+            json.dumps({"session_id": f"s{c}-{t}-{j}", "category": category, "period": t,
+                        "rating": 1 + (3 * c + t * t + j) % 5, "task_completed": j == 0})
+            + "\n"
+            for c, category in enumerate(categories) for t in periods for j in range(2)),
+            encoding="utf-8")
+
+        def run(*args) -> Path:
+            out = tmp_path / "out"
+            assert main([*args, "--input", str(log), "--format", "jsonl",
+                         "--out", str(out)]) == 0
+            return out
+
+        def table(*args) -> list[list[str]]:
+            with open(run(*args), newline="", encoding="utf-8") as handle:
+                rows = list(csv.reader(handle))
+            assert all(len(row) == len(rows[0]) for row in rows)
+            return rows[1:]
+
+        doc = json.loads(run("report", "--no-meta").read_text(encoding="utf-8"))
+        names = [entry["name"] for entry in doc["categories"]]
+        assert sorted(names) == categories
+        assert [row[:2] for row in table("report", "--report-format", "csv")] == [
+            [name, metric] for name in names for metric in ("iei", "tdc", "bucs")]
+        assert [row[0] for row in table("plotdata", "--figure", "fig1")] == names
+        assert [row[:2] for row in table("plotdata", "--figure", "fig2")] == [
+            [name, str(t)] for name in names for t in periods]
 
 
 class TestSimulateCommand:
