@@ -75,12 +75,24 @@ EXIT_USAGE = 64
 DEFAULT_SEED = 42
 
 
+def _to_stderr(text: str) -> None:
+    """Write a diagnostic to stderr in one write, or drop it when stderr is
+    gone: None, as Python sets it when fd 2 is closed at start, or a stream
+    whose writes raise OSError, as when fd 2 is open but not writable."""
+    if sys.stderr is None:
+        return
+    try:
+        sys.stderr.write(text)
+    except OSError:
+        pass
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse parser that reports usage errors with exit code 64."""
 
     def error(self, message: str) -> NoReturn:
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        _to_stderr(f"{self.format_usage()}{self.prog}: error: {message}\n")
+        self.exit(EXIT_USAGE)
 
 
 class _UsageError(Exception):
@@ -184,8 +196,9 @@ def _tally(args: argparse.Namespace, aggregation: str = POOLED):
     counts, rejections = _cli.tally_sessions(source, fmt=args.format, space=space,
                                              strictness=args.strictness,
                                              aggregation=aggregation)
-    for rejection in rejections:
-        print(f"adux: skipped row {rejection.row}: {rejection.detail}", file=sys.stderr)
+    if rejections:
+        _to_stderr("".join(f"adux: skipped row {rejection.row}: {rejection.detail}\n"
+                           for rejection in rejections))
     return counts, rejections
 
 
@@ -248,7 +261,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     config = _cli.EvalConfig(prior=args.prior, mass=args.mass, aggregation=args.aggregation)
     counts, rejections = _tally(args, args.aggregation)
     report = _cli.evaluate(counts, config, n_rejected=len(rejections))
-    print(f"adux: config digest {report.meta.config_digest}", file=sys.stderr)
+    _to_stderr(f"adux: config digest {report.meta.config_digest}\n")
     text = _cli.emit_report(report, fmt=args.report_format, no_meta=args.no_meta)
     _emit(args, text)
     return EXIT_OK
@@ -337,7 +350,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         named = f"seed {seed}"
     else:  # a config entry set its own seed
         named = ("seed " if len(seeds) == 1 else "seeds ") + ", ".join(map(str, seeds))
-    print(f"adux: simulated {rows} sessions ({named})", file=sys.stderr)
+    _to_stderr(f"adux: simulated {rows} sessions ({named})\n")
     with _cli.open_output(args.out or sys.stdout) as handle:
         _cli.write_session_columns(
             chain.from_iterable(map(_cli.gen_session_columns, specs)), handle)
@@ -443,28 +456,49 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the adux command line on ``argv`` (default ``sys.argv[1:]``) and
+    return its exit code.
+
+    Diagnostics go to ``sys.stderr``, which is left as it was; one that
+    cannot be written is dropped, but a buffered stream may keep its bytes,
+    and a flush that fails at exit makes the exit code 120. :func:`run`,
+    the ``adux`` command, sees to that.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     if not getattr(args, "command", None):
-        parser.print_usage(sys.stderr)
+        _to_stderr(parser.format_usage())
         return EXIT_USAGE
     try:
         if args.out is None and sys.stdout is None:  # as Python sets it when fd 1 is closed
             raise IoFailure("cannot write standard output: it is closed")
         return args.func(args)
     except _UsageError as exc:
-        print(f"adux: usage error: {exc}", file=sys.stderr)
+        _to_stderr(f"adux: usage error: {exc}\n")
         return EXIT_USAGE
-    except AduxError as exc:
-        print(f"adux: error: {exc}", file=sys.stderr)
+    except (AduxError, OSError) as exc:
+        _to_stderr(f"adux: error: {exc}\n")
         return EXIT_DATA
-    except OSError as exc:
-        print(f"adux: error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+
+
+def run() -> NoReturn:
+    """The ``adux`` command: exit with the code of :func:`main`.
+
+    A standard error that cannot take the bytes it holds is set to None
+    first, so that Python's flush of it at exit does not fail and turn the
+    exit code into 120.
+    """
+    code = main()
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        sys.stderr = None
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

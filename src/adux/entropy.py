@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from operator import add
 
 from ._record import record
 from .errors import EmptyDataset
@@ -126,6 +127,10 @@ def iei_by_group(
     (unweighted), which needs counts tallied per session. ``n_ratings``
     reports the total ratings in the group either way. Group keys come back
     sorted for deterministic output.
+
+    Counts are read, never changed: each group takes its count lists by
+    reference, and a new list is summed only for a session whose rows fall
+    in two periods of one category.
     """
     if grouping not in (PER_CATEGORY, PER_CATEGORY_PER_PERIOD):
         raise ValueError(f"unknown grouping {grouping!r}")
@@ -135,24 +140,32 @@ def iei_by_group(
     if len(counts) == 0:
         raise EmptyDataset("cannot compute grouped IEI on an empty dataset")
 
-    def group_of(category: str, period: int) -> GroupKey:
-        return category if grouping == PER_CATEGORY else (category, period)
-
     parts: defaultdict[GroupKey, list[list[int]]] = defaultdict(list)
     if aggregation == POOLED:
-        pooled = sum_counts((group_of(c, p), n) for (c, p), n in counts.levels.items())
+        if grouping == PER_CATEGORY:
+            pooled = sum_counts((c, n) for (c, _), n in counts.levels.items())
+        else:
+            pooled = counts.levels
         for key, n in pooled.items():
             parts[key].append(n)
-    elif counts.per_session:
+    elif not counts.per_session:
+        raise ValueError("mean-of-sessions IEI needs counts tallied per session")
+    elif grouping == PER_CATEGORY_PER_PERIOD:
         # Sessions keep first-seen order within their group, so the mean
         # sums the session entropies in the order the rows listed them.
-        sessions = sum_counts(
-            ((group_of(c, p), s), n) for (c, p, s), n in counts.sessions.items()
-        )
-        for (key, _), n in sessions.items():
-            parts[key].append(n)
+        for (c, p, _), n in counts.sessions.items():
+            parts[c, p].append(n)
     else:
-        raise ValueError("mean-of-sessions IEI needs counts tallied per session")
+        # A session seen in two periods of a category is one part, its
+        # counts added up in a new list at the place the session was first
+        # seen; a session seen in one period is its counts as they are.
+        sessions: dict[tuple[str, str], list[int]] = {}
+        for (c, _, s), n in counts.sessions.items():
+            key = c, s
+            mine = sessions.get(key)
+            sessions[key] = n if mine is None else list(map(add, mine, n))
+        for (c, _), n in sessions.items():
+            parts[c].append(n)
     return GroupedEntropy(results=tuple(
         (key, _mean_entropy(parts[key], counts.space)) for key in sorted(parts)
     ))

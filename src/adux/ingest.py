@@ -26,11 +26,18 @@ are the same either way. JSON lines, mean-of-sessions counts and
 :func:`load_sessions` always take the ordered loop.
 
 JSON lines rarely repeat, as each carries its own timestamp, so they are
-read one by one. Each takes one ``raw_decode``; a line that decodes to an
-object followed by nothing but JSON whitespace is read from that alone.
-Any other line (blank, not an object, or not JSON from its first
-character to its last) falls back to ``json.loads``, which gives it the
-reason and detail it always had.
+read one by one, in the same loop that validates them. Each takes one
+``raw_decode``; a line that decodes to an object followed by nothing but
+JSON whitespace is read from that alone, its fields taken straight from
+the object. Any other line (blank, not an object, or not JSON from its
+first character to its last) falls back to ``json.loads``, which gives it
+the reason and detail it always had. CSV and JSON-lines rows then pass one
+rule that takes a row's period from its timestamp when it has none.
+
+:func:`tally_sessions` then moves each count list to its final period as
+it is, without a copy. Timestamp days map one to one onto periods, so
+only a log that mixes explicit periods with timestamps can put two lists
+on one period, and then the second is added into the first.
 """
 
 from __future__ import annotations
@@ -113,10 +120,9 @@ def _utc_day(text: str) -> int:
     return (dt - offset).toordinal()
 
 
-# What a reader passes on per row: the raw value of each field (None when
-# absent), or the reason the row could not be read at all.
+# What the CSV reader passes on per row: the raw value of each field, None
+# when absent.
 _FIELDS = ("session_id", "category", "period", "rating", "task_completed", "timestamp")
-_RawRecord = tuple[int, "tuple[Any, ...] | str"]
 
 
 # The distinct-line count reads about this many characters of whole lines
@@ -202,7 +208,9 @@ def _count_distinct_lines(
     return read, chain(lines, handle)
 
 
-def _csv_records(handle: IO[str], counts: SessionCounts | None = None) -> Iterator[_RawRecord]:
+def _csv_records(
+    handle: IO[str], counts: SessionCounts | None = None
+) -> Iterator[tuple[int, tuple[Any, ...]]]:
     """CSV rows by header position, read the way ``csv.DictReader`` reads them.
 
     Blank records are skipped, a short record reads its missing cells as
@@ -253,33 +261,21 @@ _raw_decode = json.JSONDecoder().raw_decode
 _JSON_SPACE = " \t\n\r"
 
 
-def _jsonl_records(handle: IO[str]) -> Iterator[_RawRecord]:
-    for line_num, line in enumerate(handle, start=1):
-        try:
-            obj, end = _raw_decode(line)
-        except (ValueError, RecursionError):
-            pass  # json.loads below names the fault
-        else:
-            if isinstance(obj, dict) and not line[end:].strip(_JSON_SPACE):
-                yield line_num, tuple(map(obj.get, _FIELDS))
-                continue
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            yield line_num, f"invalid JSON: {exc.msg}"
-            continue
-        except RecursionError:
-            yield line_num, "invalid JSON: nested too deeply"
-            continue
-        except ValueError:  # an integer longer than sys.get_int_max_str_digits()
-            yield line_num, "invalid JSON: integer too long"
-            continue
-        if not isinstance(obj, dict):
-            yield line_num, "JSON line is not an object"
-            continue
-        yield line_num, tuple(map(obj.get, _FIELDS))
+def _json_object(line: str) -> dict | str | None:
+    """A JSON line that one raw_decode does not read whole, read by
+    ``json.loads``: its object, the reason it is not one, or None when the
+    line is blank."""
+    if not line.strip():
+        return None
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        return f"invalid JSON: {exc.msg}"
+    except RecursionError:
+        return "invalid JSON: nested too deeply"
+    except ValueError:  # an integer longer than sys.get_int_max_str_digits()
+        return "invalid JSON: integer too long"
+    return obj if isinstance(obj, dict) else "JSON line is not an object"
 
 
 def _scan(
@@ -292,7 +288,8 @@ def _scan(
     """Validate each row in file order and pass the valid ones to ``keep``.
 
     Given ``counts``, which ``keep`` adds to, a CSV log may be counted by
-    its distinct lines first (:func:`_count_distinct_lines`).
+    its distinct lines first (:func:`_count_distinct_lines`). A JSON line's
+    fields are read straight from its object.
 
     A row whose period is empty takes it from its timestamp, bucketed by
     UTC day. Such periods count from the earliest valid timestamped row,
@@ -300,25 +297,55 @@ def _scan(
     (that is, ``-1 - d``) for the day's ordinal d; no valid explicit
     period is negative. Returns the earliest ordinal, or None.
     """
-    records = _csv_records(handle, counts) if fmt == FORMAT_CSV else _jsonl_records(handle)
+    check = validator.check
     origin = None
-    for number, values in records:
-        if values.__class__ is str:
-            validator.reject(number, MalformedRow(values))
-            continue
-        session_id, category, period, rating, task, ts = values
-        if ts is not None and ts != "" and (period is None or period == ""):
-            try:
-                ordinal = _utc_day(str(ts))
-            except (ValueError, OverflowError):  # OverflowError: out of range in UTC
-                validator.reject(number, MalformedRow(f"invalid RFC 3339 timestamp {ts!r}"))
+
+    def stamped(number: int, session_id: Any, category: Any, rating: Any, task: Any,
+                ts: Any) -> None:
+        # The one place where a row's period comes from its timestamp; both
+        # loops send a row here when its period is empty and its timestamp not.
+        nonlocal origin
+        try:
+            ordinal = _utc_day(str(ts))
+        except (ValueError, OverflowError):  # OverflowError: out of range in UTC
+            validator.reject(number, MalformedRow(f"invalid RFC 3339 timestamp {ts!r}"))
+            return
+        row = check(number, session_id, category, 0, rating, task)
+        if row is not None:
+            if origin is None or ordinal < origin:
+                origin = ordinal
+            keep(row[0], row[1], ~ordinal, row[3], row[4])
+
+    if fmt == FORMAT_CSV:
+        for number, (session_id, category, period, rating, task, ts) in _csv_records(
+                handle, counts):
+            if ts is not None and ts != "" and (period is None or period == ""):
+                stamped(number, session_id, category, rating, task, ts)
                 continue
-            row = validator.check(number, session_id, category, 0, rating, task)
+            row = check(number, session_id, category, period, rating, task)
             if row is not None:
-                origin = ordinal if origin is None else min(origin, ordinal)
-                keep(row[0], row[1], ~ordinal, row[3], row[4])
+                keep(*row)
+        return origin
+    for number, line in enumerate(handle, start=1):
+        try:
+            obj, end = _raw_decode(line)
+        except (ValueError, RecursionError):
+            obj = None  # _json_object names the fault
+        if obj.__class__ is not dict or line[end:].strip(_JSON_SPACE):
+            obj = _json_object(line)
+            if obj.__class__ is not dict:
+                if obj is not None:
+                    validator.reject(number, MalformedRow(obj))
+                continue
+        get = obj.get
+        period = get("period")
+        ts = get("timestamp")
+        if ts is not None and ts != "" and (period is None or period == ""):
+            stamped(number, get("session_id"), get("category"), get("rating"),
+                    get("task_completed"), ts)
             continue
-        row = validator.check(number, session_id, category, period, rating, task)
+        row = check(number, get("session_id"), get("category"), period, get("rating"),
+                    get("task_completed"))
         if row is not None:
             keep(*row)
     return origin
@@ -419,5 +446,28 @@ def tally_sessions(
         source, fmt, counts.space, strictness, counts.add, counts
     )
     if any(p < 0 for _, p in counts.levels):
-        counts = counts.with_periods(period_of)
+        _move_periods(counts, period_of)
     return counts, rejections
+
+
+def _move_periods(counts: SessionCounts, period_of: Callable[[int], int]) -> None:
+    """Move each period p of ``counts`` to ``period_of(p)``, in place.
+
+    The result equals ``counts.with_periods(period_of)``, but keeps the
+    count lists: a list stays where its new key is first seen, and one
+    whose new key is already taken is added into that one.
+    """
+
+    def moved(pairs: Iterator[tuple[Any, list[int]]]) -> dict[Any, list[int]]:
+        table: dict[Any, list[int]] = {}
+        for key, n in pairs:
+            mine = table.setdefault(key, n)
+            if mine is not n:
+                for i, c in enumerate(n):
+                    mine[i] += c
+        return table
+
+    counts.levels = moved(((c, period_of(p)), n) for (c, p), n in counts.levels.items())
+    counts.sessions = moved(
+        ((c, period_of(p), s), n) for (c, p, s), n in counts.sessions.items()
+    )

@@ -234,7 +234,8 @@ class SessionCounts:
         return tuple(sorted({category for category, _ in self.levels}))
 
     def with_periods(self, period_of: Callable[[int], int]) -> SessionCounts:
-        """The same counts with each period p moved to ``period_of(p)``.
+        """The same counts with each period p moved to ``period_of(p)``, as
+        new counts that share no list with these.
 
         Counts that land on one period add up; session keys keep the order
         in which their new keys were first seen.

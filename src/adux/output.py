@@ -60,7 +60,8 @@ def _cell(value: Any) -> Any:
 
 def _csv_lines(rows: Iterable[Iterable[Any]]) -> str:
     """The CSV lines of these rows, each ended by a line feed; floats must
-    arrive rounded by :func:`_num`."""
+    arrive rounded by :func:`_num`. A cell that csv refuses to write (a NUL,
+    before Python 3.11) raises :class:`~adux.errors.IoFailure` naming it."""
     # A "\n"-terminated writer leaves a "\r" inside a cell unquoted before
     # Python 3.13, and the reader splits that line; a "\r\n"-terminated
     # writer quotes it. Other cells come out as a "\n"-terminated writer
@@ -71,7 +72,16 @@ def _csv_lines(rows: Iterable[Iterable[Any]]) -> str:
     for row in rows:
         line.seek(0)
         line.truncate()
-        writer.writerow(map(_cell, row))
+        cells = list(map(_cell, row))
+        try:
+            writer.writerow(cells)
+        except csv.Error as exc:  # a cell holding a NUL, before Python 3.11
+            for cell in cells:
+                try:
+                    writer.writerow((cell,))
+                except csv.Error:
+                    raise IoFailure(f"cannot write the CSV cell {cell!r}: {exc}") from None
+            raise
         parts.append(line.getvalue()[:-2] + "\n")
     return "".join(parts)
 

@@ -328,6 +328,112 @@ class TestCsvTablesReadBack:
             [name, str(t)] for name in names for t in periods]
 
 
+class TestNulInACategory:
+    """csv before Python 3.11 cannot write a NUL. A category holding one is
+    written and read back whole, or refused with one error line; never a
+    traceback."""
+
+    @pytest.mark.parametrize("args", [
+        ["report", "--report-format", "csv", "--no-meta"],
+        ["plotdata", "--figure", "fig1"],
+        ["plotdata", "--figure", "fig2"],
+        ["simulate"],
+    ], ids=["report", "fig1", "fig2", "simulate"])
+    def test_written_whole_or_refused(self, args, tmp_path, capsys):
+        category = "a\0b"
+        if args[0] == "simulate":
+            config = tmp_path / "spec.json"
+            config.write_text(json.dumps({"category": category, "probs": [0.2] * 5,
+                                          "periods": 5, "sessions_per_period": 2}))
+            args = [*args, "--config", str(config)]
+        else:
+            log = tmp_path / "log.jsonl"
+            log.write_text("".join(
+                json.dumps({"session_id": f"s{t}", "category": category, "period": t,
+                            "rating": 1 + t, "task_completed": t % 2 == 0}) + "\n"
+                for t in range(5)), encoding="utf-8")
+            args = [*args, "--input", str(log), "--format", "jsonl"]
+        out = tmp_path / "out.csv"
+        code = main([*args, "--out", str(out)])
+        err = capsys.readouterr().err
+        if code == 2:
+            errors = [line for line in err.splitlines() if line.startswith("adux: error: ")]
+            # The cell named is the first that holds the NUL.
+            assert len(errors) == 1 and "cannot write the CSV cell" in errors[0]
+            assert "\\x00" in errors[0]
+            assert not out.exists()
+            return
+        assert code == 0, err
+        with open(out, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows)
+        assert {row[rows[0].index("category")] for row in rows[1:]} == {category}
+
+
+def _run_adux(args, stderr, unbuffered=False):
+    """``adux ARGS`` in a new process, its stderr "open", "closed" or
+    "read-only": its exit code and stdout bytes."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open(os.devnull, "rb") as read_only:
+        proc = subprocess.run(
+            [sys.executable, "-c", "from adux.cli import run; run()",
+             *args],
+            env=env, stdout=subprocess.PIPE, timeout=60,
+            stderr=read_only if stderr == "read-only" else subprocess.DEVNULL,
+            preexec_fn=(lambda: os.close(2)) if stderr == "closed" else None)
+    return proc.returncode, proc.stdout
+
+
+class TestUnwritableStderr:
+    """With stderr closed, or open where a write fails, every command drops
+    its diagnostics and prints the same stdout, with the same exit code, as
+    with stderr open. Python makes sys.stderr None for a closed fd 2; for
+    one it cannot write it makes a stream whose writes raise, and a buffer
+    left unflushed at exit changes the exit code."""
+
+    @pytest.mark.parametrize("args", [
+        ["iei", "--input", "LOG", "--skip-invalid"],
+        ["tdc", "--input", "LOG", "--skip-invalid"],
+        ["bucs", "--n", "7", "--N", "10"],
+        ["report", "--input", "LOG", "--skip-invalid", "--no-meta"],
+        ["plotdata", "--figure", "fig1", "--input", "LOG", "--skip-invalid"],
+        ["simulate", "--preset", "all", "--seed", "7"],
+        ["report", "--input", "LOG"],  # strict: exit 2 on the bad row
+        ["report", "--no-such-flag"],  # exit 64
+    ], ids=["iei", "tdc", "bucs", "report", "plotdata", "simulate", "data-error",
+            "usage-error"])
+    def test_same_stdout_and_exit_code(self, args, tmp_path):
+        log = tmp_path / "sessions.csv"
+        log.write_text(SESSIONS + "s9,chat,5,9,true\n")
+        args = [str(log) if arg == "LOG" else arg for arg in args]
+        expected = _run_adux(args, "open")
+        assert _run_adux(args, "closed") == expected
+        for unbuffered in (False, True):
+            assert _run_adux(args, "read-only", unbuffered) == expected
+
+    def test_main_leaves_a_failing_stderr_in_place(self, tmp_path, capsys, monkeypatch):
+        class Unwritable:
+            def write(self, text):
+                raise OSError(errno.EBADF, "Bad file descriptor")
+
+        log = tmp_path / "sessions.csv"
+        log.write_text(SESSIONS + "s9,chat,5,9,true\n")
+        args = ["report", "--input", str(log), "--skip-invalid", "--no-meta"]
+        assert main(args) == 0
+        expected = capsys.readouterr().out
+        broken = Unwritable()
+        monkeypatch.setattr(sys, "stderr", broken)
+        assert main(args) == 0
+        assert main(["report", "--no-such-flag"]) == 64
+        assert sys.stderr is broken
+        assert capsys.readouterr().out == expected
+
+
 class TestSimulateCommand:
     def test_flag_driven_spec(self, tmp_path, capsys):
         out = tmp_path / "sim.csv"

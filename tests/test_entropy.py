@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 
 import pytest
@@ -198,3 +199,41 @@ class TestIeiByGroup:
         )
         [(_, entry)] = iei_by_group(gen_ratings(spec)).results
         assert entry.value == pytest.approx(entropy_bits_direct(probs), abs=0.05)
+
+
+session_rows = st.lists(
+    st.tuples(st.sampled_from(["s1", "s2", "s3"]), st.sampled_from(["chat", "code"]),
+              st.integers(0, 3), st.integers(1, 5)),
+    min_size=1, max_size=30,
+)
+groupings = st.sampled_from([PER_CATEGORY, PER_CATEGORY_PER_PERIOD])
+
+
+class TestMeanOfSessionsRegrouping:
+    """Mean-of-sessions IEI regroups the per-session counts by reference."""
+
+    @given(rows=session_rows, grouping=groupings)
+    def test_mean_of_each_sessions_ratings(self, rows, grouping):
+        # A session's part of a group is all its ratings in that group, and
+        # the mean sums the sessions in the order the rows first list them.
+        ratings: dict = {}
+        for session, category, period, rating in rows:
+            group = category if grouping == PER_CATEGORY else (category, period)
+            ratings.setdefault(group, {}).setdefault(session, []).append(rating)
+        ds = _dataset([_obs(*row) for row in rows])
+        results = iei_by_group(ds, grouping=grouping, aggregation=MEAN_OF_SESSIONS).results
+        assert [key for key, _ in results] == sorted(ratings)
+        for key, entry in results:
+            parts = list(ratings[key].values())
+            values = [iei_of_ratings(part, five_point()).value for part in parts]
+            assert entry.value == sum(values) / len(values)
+            assert entry.n_ratings == sum(map(len, parts))
+
+    @given(rows=session_rows, grouping=groupings,
+           aggregation=st.sampled_from([POOLED, MEAN_OF_SESSIONS]))
+    def test_counts_are_left_as_they_were(self, rows, grouping, aggregation):
+        counts = _dataset([_obs(*row) for row in rows]).counts(aggregation)
+        before = copy.deepcopy(counts)
+        first = iei_by_group(counts, grouping=grouping, aggregation=aggregation)
+        assert counts == before and list(counts.sessions) == list(before.sessions)
+        assert iei_by_group(counts, grouping=grouping, aggregation=aggregation) == first

@@ -8,6 +8,7 @@ rejections, the same strict-mode error and the same report bytes.
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import json
@@ -199,6 +200,77 @@ class TestSessionCounts:
         assert sorted(folded.levels) == [("a", 0), ("b", 0)]
         assert sum(sum(n) for n in folded.levels.values()) == 6
         assert folded.trials == counts.trials
+
+
+DAYS = ["2024-02-29", "2024-03-01", "2024-03-02"]
+TIMES = ["00:30:00", "12:00:00.5", "23:30:00"]
+OFFSETS = ["Z", "z", "+05:30", "-05:00", ""]
+CLOCKS = {"timestamps": ("timestamp",), "periods": ("period",),
+          "mixed": ("timestamp", "period")}
+
+
+@st.composite
+def clocked_logs(draw, clocks):
+    """Valid JSON lines whose periods come from ``clocks``: timestamps that
+    cross UTC days under several offsets, explicit periods, or both."""
+    lines = []
+    for _ in range(draw(st.integers(0, 30))):
+        row = {"session_id": draw(st.sampled_from(["s1", "s2", "s3"])),
+               "category": draw(st.sampled_from(["a", "b"])),
+               "rating": draw(st.integers(1, 5))}
+        if draw(st.booleans()):
+            row["task_completed"] = draw(st.booleans())
+        if draw(st.sampled_from(clocks)) == "period":
+            row["period"] = draw(st.integers(0, 3))
+        else:
+            row["timestamp"] = "{}T{}{}".format(*(draw(st.sampled_from(values))
+                                                  for values in (DAYS, TIMES, OFFSETS)))
+        lines.append(json.dumps(row) + "\n")
+    return "".join(lines)
+
+
+any_clock_logs = st.one_of(*(clocked_logs(clocks) for clocks in CLOCKS.values()))
+
+
+class TestPeriodsFromTwoClocks:
+    """The tally moves its count lists to their periods in place, adding
+    those that land together, and holds what a loaded dataset counts."""
+
+    @pytest.mark.parametrize("clocks", list(CLOCKS))
+    @given(data=st.data(), aggregation=aggregations)
+    @settings(max_examples=50, deadline=None)
+    def test_tally_equals_load(self, clocks, data, aggregation):
+        text = data.draw(clocked_logs(CLOCKS[clocks]))
+        counts, rejections = tally_sessions(io.StringIO(text), fmt="jsonl",
+                                            aggregation=aggregation)
+        loaded = load_sessions(io.StringIO(text), fmt="jsonl")
+        assert rejections == () and all(p >= 0 for _, p in counts.levels)
+        assert _same_counts(counts, loaded.dataset.counts(aggregation))
+
+    @given(text=any_clock_logs, shift=st.integers(-3, 3))
+    @settings(max_examples=50, deadline=None)
+    def test_with_periods_leaves_its_source_alone(self, text, shift):
+        counts, _ = tally_sessions(io.StringIO(text), fmt="jsonl",
+                                   aggregation=MEAN_OF_SESSIONS)
+        before = copy.deepcopy(counts)
+        moved = counts.with_periods(lambda p: max(p + shift, 0))
+        assert _same_counts(counts, before)
+        for table in (moved.levels, moved.trials, moved.sessions):
+            for n in table.values():
+                n[0] += 1
+        assert _same_counts(counts, before)
+
+    @given(text=any_clock_logs, shift=st.integers(-3, 3))
+    @settings(max_examples=50, deadline=None)
+    def test_move_in_place_is_with_periods(self, text, shift):
+        counts, _ = tally_sessions(io.StringIO(text), fmt="jsonl",
+                                   aggregation=MEAN_OF_SESSIONS)
+        merged = counts.with_periods(lambda p: max(p + shift, 0))
+        lists = {id(n) for table in (counts.levels, counts.sessions) for n in table.values()}
+        ingest._move_periods(counts, lambda p: max(p + shift, 0))
+        assert _same_counts(counts, merged)
+        assert all(id(n) in lists for table in (counts.levels, counts.sessions)
+                   for n in table.values())
 
 
 ids = st.text(min_size=1, max_size=8)
@@ -429,27 +501,10 @@ class TestDistinctLineCount:
         assert _same_counts(weighted, repeated)
 
 
-def _jsonl_by_loads(handle):
-    """The JSON-lines reader with one json.loads per line: the reference
-    that the raw_decode fast path must read alike."""
-    for line_num, line in enumerate(handle, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            yield line_num, f"invalid JSON: {exc.msg}"
-            continue
-        except RecursionError:
-            yield line_num, "invalid JSON: nested too deeply"
-            continue
-        except ValueError:
-            yield line_num, "invalid JSON: integer too long"
-            continue
-        if not isinstance(obj, dict):
-            yield line_num, "JSON line is not an object"
-            continue
-        yield line_num, tuple(map(obj.get, _FIELDS))
+def _no_raw_decode(line):
+    """Stands in for the reader's raw_decode, so that every JSON line takes
+    json.loads: the reference that the raw_decode fast path must read alike."""
+    raise ValueError("raw_decode is off")
 
 
 def _jsonl_outcomes(text):
@@ -472,7 +527,7 @@ def _jsonl_outcomes(text):
 
 def _assert_read_as_by_loads(text, patch):
     got = _jsonl_outcomes(text)
-    patch.setattr(ingest, "_jsonl_records", _jsonl_by_loads)
+    patch.setattr(ingest, "_raw_decode", _no_raw_decode)
     assert got == _jsonl_outcomes(text)
 
 
