@@ -27,7 +27,7 @@ merged = Dataset(
 )
 print(f"generated {len(merged)} sessions across {len(specs)} categories")
 
-report = evaluate(merged, EvalConfig())
+report = evaluate(merged.counts(), EvalConfig())
 
 print()
 print("fig1 plot data (category, iei_bits, iei_normalized):")

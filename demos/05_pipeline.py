@@ -1,6 +1,6 @@
 """
-End-to-end pipeline: simulate -> load -> evaluate -> emit
-=========================================================
+End-to-end pipeline: simulate -> tally -> evaluate -> emit
+==========================================================
 
 The same flow is available from the shell:
 
@@ -27,7 +27,7 @@ from adux import (
     emit_sessions,
     evaluate,
     gen_ratings,
-    load_sessions,
+    tally_sessions,
 )
 
 workdir = Path(tempfile.mkdtemp(prefix="adux-demo-"))
@@ -42,14 +42,13 @@ dataset = Dataset(
 emit_sessions(dataset, sessions_csv)
 print(f"wrote {sessions_csv} ({len(dataset)} sessions)")
 
-# 2. load (round-trips through the CSV schema, validating every row) ----------
-loaded = load_sessions(sessions_csv, fmt="csv", strictness="strict")
-assert loaded.dataset == dataset
-print(f"re-loaded {len(loaded.dataset)} sessions, "
-      f"{len(loaded.rejections)} rejections")
+# 2. tally (one pass that validates every row and keeps only its counts) ------
+counts, rejections = tally_sessions(sessions_csv, fmt="csv", strictness="strict")
+assert counts == dataset.counts()
+print(f"tallied {len(counts)} sessions, {len(rejections)} rejections")
 
 # 3. evaluate ------------------------------------------------------------------
-report = evaluate(loaded.dataset, EvalConfig(), n_rejected=len(loaded.rejections))
+report = evaluate(counts, EvalConfig(), n_rejected=len(rejections))
 print(f"config digest: {report.meta.config_digest}")
 
 # 4. emit ----------------------------------------------------------------------

@@ -54,7 +54,7 @@ _EXPORTS = {
     ),
     "synth": (
         "GeneratorSpec", "category_presets", "discretized_line_distributions",
-        "gen_drift_series", "gen_ratings", "gen_session_rows", "gen_trials",
+        "gen_drift_series", "gen_ratings", "gen_trials",
     ),
     "report": (
         "AduxReport", "CategoryResult", "EvalConfig", "Fig3Spec",

@@ -13,7 +13,7 @@ from enum import Enum
 
 from ._record import record
 from .errors import DegenerateTime, InsufficientData, UnknownCategory
-from .model import Dataset, SessionCounts
+from .model import SessionCounts
 from .special import student_t_quantile
 
 MIN_POINTS = 5
@@ -67,16 +67,13 @@ class DriftDirection(Enum):
     INDETERMINATE = "indeterminate"
 
 
-def series_from_dataset(
-    dataset: Dataset | SessionCounts, category: str
-) -> UsabilitySeries:
+def series_from_dataset(counts: SessionCounts, category: str) -> UsabilitySeries:
     """Per-period mean rating of one category, skipping empty periods.
 
     No imputation: periods without data are simply absent from the series.
     A point is the exact integer sum of code x count over the count, so it
     equals the mean of the listed ratings.
     """
-    counts = SessionCounts.of(dataset)
     codes = counts.space.codes
     means = {
         period: sum(code * k for code, k in zip(codes, n)) / sum(n)

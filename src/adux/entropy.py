@@ -21,7 +21,6 @@ from .errors import EmptyDataset
 from .model import (
     MEAN_OF_SESSIONS,
     POOLED,
-    Dataset,
     DiscreteDistribution,
     ResponseSpace,
     SessionCounts,
@@ -115,11 +114,11 @@ def _mean_entropy(parts: list[list[int]], space: ResponseSpace) -> EntropyBits:
 
 
 def iei_by_group(
-    dataset: Dataset | SessionCounts,
+    counts: SessionCounts,
     grouping: str = PER_CATEGORY,
     aggregation: str = POOLED,
 ) -> GroupedEntropy:
-    """IEI per group of a dataset or of its counts.
+    """IEI per group of a session log's counts.
 
     Grouping is per category or per (category, period). Pooled aggregation
     builds one distribution from all ratings in the group; mean-of-sessions
@@ -136,7 +135,6 @@ def iei_by_group(
         raise ValueError(f"unknown grouping {grouping!r}")
     if aggregation not in (POOLED, MEAN_OF_SESSIONS):
         raise ValueError(f"unknown aggregation {aggregation!r}")
-    counts = SessionCounts.of(dataset, aggregation)
     if len(counts) == 0:
         raise EmptyDataset("cannot compute grouped IEI on an empty dataset")
 

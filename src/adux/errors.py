@@ -17,7 +17,7 @@ class EmptyInput(AduxError):
 
 
 class EmptyDataset(AduxError):
-    """A dataset with zero observations was passed to an evaluator."""
+    """Counts of zero rows were passed to an evaluator."""
 
 
 class UnknownRating(AduxError):

@@ -456,9 +456,10 @@ def tally_sessions(
 def _move_periods(counts: SessionCounts, period_of: Callable[[int], int]) -> None:
     """Move each period p of ``counts`` to ``period_of(p)``, in place.
 
-    The result equals ``counts.with_periods(period_of)``, but keeps the
-    count lists: a list stays where its new key is first seen, and one
-    whose new key is already taken is added into that one.
+    The counts become those of the same rows with their periods moved, keys
+    in the order their new keys are first seen. No list is copied: a list
+    stays where its new key is first seen, and one whose new key is already
+    taken is added into that one.
     """
 
     def moved(pairs: Iterator[tuple[Any, list[int]]]) -> dict[Any, list[int]]:

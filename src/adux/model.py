@@ -9,15 +9,15 @@ mappings (:func:`validate_dataset`) and rows streamed from a file
 only sufficient statistics, which :class:`SessionCounts` holds: rating
 counts per (category, period), task outcomes per category and, for the
 mean-of-sessions IEI, rating counts per session. It is the one mutable
-type here, an accumulator that is filled a row at a time;
-:meth:`Dataset.counts` builds it from observation objects.
+type here, an accumulator that is filled a row at a time, and the one
+input every metric takes; ``ingest.tally_sessions`` fills it from a log.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
+from collections.abc import Hashable, Iterable, Mapping, Sequence
 from typing import Any, TypeVar
 
 from ._record import field, record
@@ -185,11 +185,6 @@ class SessionCounts:
         """Empty counts holding what IEI under ``aggregation`` reads."""
         return cls(space, per_session=aggregation == MEAN_OF_SESSIONS)
 
-    @classmethod
-    def of(cls, data: Dataset | SessionCounts, aggregation: str = POOLED) -> SessionCounts:
-        """``data`` as counts: itself when it already is counts, else its tally."""
-        return data if isinstance(data, SessionCounts) else data.counts(aggregation)
-
     def add(
         self,
         session_id: str,
@@ -233,23 +228,6 @@ class SessionCounts:
         """Distinct categories, sorted."""
         return tuple(sorted({category for category, _ in self.levels}))
 
-    def with_periods(self, period_of: Callable[[int], int]) -> SessionCounts:
-        """The same counts with each period p moved to ``period_of(p)``, as
-        new counts that share no list with these.
-
-        Counts that land on one period add up; session keys keep the order
-        in which their new keys were first seen.
-        """
-        moved = SessionCounts(self.space, self.per_session, self.rows)
-        moved.levels = sum_counts(
-            ((c, period_of(p)), counts) for (c, p), counts in self.levels.items()
-        )
-        moved.trials = {c: list(outcomes) for c, outcomes in self.trials.items()}
-        moved.sessions = sum_counts(
-            ((c, period_of(p), s), counts) for (c, p, s), counts in self.sessions.items()
-        )
-        return moved
-
 
 @record(frozen=True)
 class Dataset:
@@ -266,13 +244,6 @@ class Dataset:
                     f"rating code {obs.rating} (session {obs.session_id!r}) "
                     f"not in response space {self.space.codes}"
                 )
-
-    def categories(self) -> tuple[str, ...]:
-        """Distinct categories, sorted."""
-        return tuple(sorted({o.category for o in self.observations}))
-
-    def for_category(self, category: str) -> tuple[SessionObservation, ...]:
-        return tuple(o for o in self.observations if o.category == category)
 
     def counts(self, aggregation: str = POOLED) -> SessionCounts:
         """The sufficient statistics of these observations, in their order."""
@@ -457,21 +428,16 @@ def validate_dataset(
     rows: Iterable[Mapping[str, Any]],
     space: ResponseSpace,
     strictness: str = STRICT,
-    row_numbers: Sequence[int] | None = None,
 ) -> ValidationResult:
     """Turn raw row mappings into a validated :class:`Dataset`.
 
     In ``strict`` mode the first invalid row raises; in ``skip-invalid`` mode
     invalid rows are dropped and each one is recorded in the rejection log
-    with its row number and a machine-readable reason.
-
-    ``row_numbers`` optionally supplies the reported numbering (e.g. file
-    line numbers); by default rows are numbered from 1.
+    with its row number, counted from 1, and a machine-readable reason.
     """
     validator = RowValidator(space, strictness)
     observations: list[SessionObservation] = []
-    for i, row in enumerate(rows):
-        number = row_numbers[i] if row_numbers is not None else i + 1
+    for number, row in enumerate(rows, 1):
         get = row.get
         parsed = validator.check(number, get("session_id"), get("category"),
                                  get("period"), get("rating"), get("task_completed"))

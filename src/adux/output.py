@@ -28,6 +28,7 @@ import csv
 import io
 import json
 import os
+import stat
 import tempfile
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
@@ -154,16 +155,31 @@ def write_session_columns(
 def open_output(destination: str | Path | IO[str]) -> Iterator[IO[str]]:
     """A text handle on the destination: a file-like itself, or for a path
     a temporary file in its directory that replaces the path only when the
-    block ends without error, so a failed write leaves no partial file."""
+    block ends without error, so a failed write leaves no partial file.
+    The file keeps the mode of the one it replaces, or takes the umask's,
+    as a shell's ``>`` gives. A FIFO, a device or any other path that is
+    not a regular file is written in place, so its reader gets the text.
+    """
     if hasattr(destination, "write"):
         yield destination
         return
     path = Path(destination)
     try:
+        try:
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:  # a new regular file, as the umask makes it
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = stat.S_IFREG | (0o666 & ~umask)
+        if not stat.S_ISREG(mode):
+            with open(path, "w", encoding="utf-8") as handle:
+                yield handle
+            return
         fd, tmp_name = tempfile.mkstemp(
             dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
         )
         try:
+            os.fchmod(fd, mode & 0o777)
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 yield handle
             os.replace(tmp_name, path)

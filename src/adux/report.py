@@ -8,12 +8,11 @@ machine-readable reason code instead of being silently dropped.
 
 Every metric needs only counts, so the pipeline streams: one pass reads,
 validates and counts each row (:func:`~adux.ingest.tally_sessions`), and
-:func:`evaluate` works from those counts, or tallies a :class:`Dataset`
-of row objects first. The CSV report, the plot data and the session log
-that :func:`emit_sessions` writes back from a dataset all print through
-the one CSV writer in :mod:`adux.output`, and every file is written
-through :func:`adux.output.open_output`, so a failed run never leaves a
-partially written output behind.
+:func:`evaluate` works from those counts alone. The CSV report, the plot
+data and the session log that :func:`emit_sessions` writes back from a
+dataset all print through the one CSV writer in :mod:`adux.output`, and
+every file is written through :func:`adux.output.open_output`, so a
+failed run never leaves a partially written output behind.
 """
 
 from __future__ import annotations
@@ -135,21 +134,21 @@ class AduxReport:
 
 
 def evaluate(
-    dataset: Dataset | SessionCounts,
+    counts: SessionCounts,
     config: EvalConfig | None = None,
     n_rejected: int = 0,
 ) -> AduxReport:
     """Run the full three-metric evaluation for every category.
 
-    Reads only counts: a :class:`Dataset` is tallied once first, and
-    :func:`~adux.ingest.tally_sessions` gives the counts of a log without
-    one. IEI is always computed. TDC needs at least five populated periods
-    and is otherwise reported unavailable with reason ``insufficient-periods``.
+    Reads only counts, tallied for ``config.aggregation``: those of a log
+    (:func:`~adux.ingest.tally_sessions`), or of row objects
+    (:meth:`Dataset.counts`). IEI is always computed. TDC needs at least
+    five populated periods and is otherwise reported unavailable with reason
+    ``insufficient-periods``.
     BUCS needs task outcomes and is otherwise reported unavailable with
     reason ``no-task-outcomes``.
     """
     config = config if config is not None else EvalConfig()
-    counts = SessionCounts.of(dataset, config.aggregation)
     if len(counts) == 0:
         raise EmptyDataset("cannot evaluate an empty dataset")
 

@@ -14,8 +14,7 @@ Box-Muller transform of uniform pairs.
 
 :func:`gen_session_columns` draws a spec's sessions one period at a time,
 as columns of session ids and row keys, so ``adux simulate`` writes them
-as they are drawn; :func:`gen_session_rows` gives the same draws as row
-tuples, and :func:`gen_ratings` collects them into a
+as they are drawn; :func:`gen_ratings` collects the same draws into a
 :class:`~adux.model.Dataset`.
 """
 
@@ -43,7 +42,7 @@ class GeneratorSpec:
     response profiles; ``completion_p`` feeds the per-session task outcomes.
     The drift fields, the line ``true_beta0 + true_beta1 * t`` with
     ``noise_sd``, feed only :func:`gen_drift_series`: the session rows of
-    :func:`gen_session_rows` never read them.
+    :func:`gen_session_columns` never read them.
     """
 
     category: str
@@ -139,16 +138,10 @@ def gen_session_columns(
                list(map(getitem, map(keys_of.__getitem__, codes), completed)))
 
 
-def gen_session_rows(spec: GeneratorSpec) -> Iterator[tuple[str, str, int, int, bool]]:
-    """The sessions of :func:`gen_session_columns` as rows ``(session_id,
-    category, period, rating, task_completed)``, drawn as they are consumed."""
-    for ids, keys in gen_session_columns(spec):
-        yield from ((s, *key) for s, key in zip(ids, keys))
-
-
 def gen_ratings(spec: GeneratorSpec) -> Dataset:
-    """The rows of :func:`gen_session_rows` as a :class:`Dataset`."""
-    observations = tuple(SessionObservation(*row) for row in gen_session_rows(spec))
+    """The sessions of :func:`gen_session_columns` as a :class:`Dataset`."""
+    observations = tuple(SessionObservation(s, *key) for ids, keys in gen_session_columns(spec)
+                         for s, key in zip(ids, keys))
     return Dataset(space=spec.space, observations=observations)
 
 

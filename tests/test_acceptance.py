@@ -103,7 +103,7 @@ def test_criterion_02_entropy_recovery():
                 true_beta0=3.0, true_beta1=0.0, noise_sd=0.0, completion_p=0.5,
                 periods=10, sessions_per_period=1000, seed=4200 + i,
             )
-            [(_, entry)] = iei_by_group(gen_ratings(spec)).results
+            [(_, entry)] = iei_by_group(gen_ratings(spec).counts()).results
             assert entry.n_ratings == 10_000
             assert entry.value == pytest.approx(entropy_bits_direct(probs), abs=0.05)
 
@@ -240,7 +240,7 @@ def test_criterion_09_preset_entropy_ordering():
         datasets = [gen_ratings(spec) for spec in category_presets()]
         merged_obs = tuple(o for ds in datasets for o in ds.observations)
         merged = datasets[0].__class__(space=datasets[0].space, observations=merged_obs)
-        report = evaluate(merged, EvalConfig())
+        report = evaluate(merged.counts(), EvalConfig())
         text = emit_plot_data(report, "fig1")
         table = {
             line.split(",")[0]: float(line.split(",")[1])

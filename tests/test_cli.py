@@ -6,8 +6,10 @@ import csv
 import errno
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -277,6 +279,49 @@ class TestReportCommand:
         assert capsys.readouterr().err.endswith(
             f"adux: error: cannot write {out}: {os.strerror(code)}\n")
         assert sorted(tmp_path.rglob("*")) == before
+
+
+BUCS_OUT = ["bucs", "--n", "7", "--N", "10", "--out"]
+
+
+def _with_umask(mask, call):
+    old = os.umask(mask)
+    try:
+        return call()
+    finally:
+        os.umask(old)
+
+
+class TestOutFile:
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_a_fifo_is_written_in_place(self, tmp_path, capsys):
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        read = []
+        reader = threading.Thread(target=lambda: read.append(fifo.read_text()),
+                                  daemon=True)
+        reader.start()
+        assert main([*BUCS_OUT, str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive(), "the reader of the FIFO got no end of file"
+        assert json.loads(read[0])["posterior"] == {"alpha": 8, "beta": 4}
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert os.listdir(tmp_path) == ["out.fifo"]
+
+    @pytest.mark.parametrize("mask, mode", [(0o022, 0o644), (0o027, 0o640)])
+    def test_a_new_file_gets_the_mode_the_umask_gives(self, mask, mode, tmp_path):
+        out = tmp_path / "bucs.json"
+        assert _with_umask(mask, lambda: main([*BUCS_OUT, str(out)])) == 0
+        assert stat.S_IMODE(os.stat(out).st_mode) == mode
+
+    @pytest.mark.parametrize("mode", [0o644, 0o640, 0o604])
+    def test_a_rewritten_file_keeps_its_mode(self, mode, tmp_path):
+        out = tmp_path / "bucs.json"
+        out.write_text("old\n")
+        out.chmod(mode)
+        assert _with_umask(0o077, lambda: main([*BUCS_OUT, str(out)])) == 0
+        assert json.loads(out.read_text())["posterior"] == {"alpha": 8, "beta": 4}
+        assert stat.S_IMODE(os.stat(out).st_mode) == mode
 
 
 # Categories that a CSV cell must quote: a delimiter, a quote, a line feed

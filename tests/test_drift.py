@@ -41,12 +41,12 @@ class TestSeriesFromDataset:
             SessionObservation("s2", "chat", 0, 4),
             SessionObservation("s3", "chat", 1, 2),
         ))
-        series = series_from_dataset(ds, "chat")
+        series = series_from_dataset(ds.counts(), "chat")
         assert series.points == ((0, 4.0), (1, 2.0))
 
     def test_single_period_series_fits_later_fail(self):
         ds = Dataset(five_point(), (SessionObservation("s1", "chat", 3, 4),))
-        series = series_from_dataset(ds, "chat")
+        series = series_from_dataset(ds.counts(), "chat")
         assert len(series) == 1
         with pytest.raises(InsufficientData):
             fit_tdc(series)
@@ -54,14 +54,14 @@ class TestSeriesFromDataset:
     def test_unknown_category(self):
         ds = Dataset(five_point(), (SessionObservation("s1", "chat", 0, 4),))
         with pytest.raises(UnknownCategory, match="'email'"):
-            series_from_dataset(ds, "email")
+            series_from_dataset(ds.counts(), "email")
 
     def test_gaps_are_skipped_not_imputed(self):
         ds = Dataset(five_point(), (
             SessionObservation("s1", "chat", 0, 2),
             SessionObservation("s2", "chat", 7, 4),
         ))
-        assert series_from_dataset(ds, "chat").points == ((0, 2.0), (7, 4.0))
+        assert series_from_dataset(ds.counts(), "chat").points == ((0, 2.0), (7, 4.0))
 
 
 class TestFitTdc:

@@ -116,73 +116,75 @@ def _obs(session, category, period, rating):
     return SessionObservation(session, category, period, rating)
 
 
-def _dataset(observations):
-    return Dataset(five_point(), tuple(observations))
+def _counts(observations, aggregation=MEAN_OF_SESSIONS):
+    """The counts of these rows, by default tallied per session too, which
+    either aggregation reads."""
+    return Dataset(five_point(), tuple(observations)).counts(aggregation)
 
 
 class TestIeiByGroup:
     def test_identical_ratings_give_zero(self):
-        ds = _dataset([_obs(f"s{i}", "chat", 0, 4) for i in range(6)])
-        [(key, entry)] = iei_by_group(ds).results
+        counts = _counts([_obs(f"s{i}", "chat", 0, 4) for i in range(6)])
+        [(key, entry)] = iei_by_group(counts).results
         assert key == "chat"
         assert entry.value == 0.0
         assert entry.n_ratings == 6
 
     def test_identical_multisets_give_identical_iei(self):
         ratings = [1, 2, 2, 3, 5, 5]
-        ds = _dataset(
+        counts = _counts(
             [_obs(f"a{i}", "alpha", 0, r) for i, r in enumerate(ratings)]
             + [_obs(f"b{i}", "beta", 0, r) for i, r in enumerate(ratings)]
         )
-        results = dict(iei_by_group(ds).results)
+        results = dict(iei_by_group(counts).results)
         assert results["alpha"].value == results["beta"].value
 
     def test_group_keys_sorted(self):
-        ds = _dataset([_obs("s1", "zeta", 0, 3), _obs("s2", "alpha", 0, 3)])
-        keys = [k for k, _ in iei_by_group(ds).results]
+        counts = _counts([_obs("s1", "zeta", 0, 3), _obs("s2", "alpha", 0, 3)])
+        keys = [k for k, _ in iei_by_group(counts).results]
         assert keys == ["alpha", "zeta"]
 
     def test_per_category_per_period_keys(self):
-        ds = _dataset([_obs("s1", "chat", 0, 3), _obs("s2", "chat", 1, 4)])
-        keys = [k for k, _ in iei_by_group(ds, grouping=PER_CATEGORY_PER_PERIOD).results]
+        counts = _counts([_obs("s1", "chat", 0, 3), _obs("s2", "chat", 1, 4)])
+        keys = [k for k, _ in iei_by_group(counts, grouping=PER_CATEGORY_PER_PERIOD).results]
         assert keys == [("chat", 0), ("chat", 1)]
 
     def test_mean_of_sessions_averages_per_session_entropy(self):
         # session a: ratings 1,5 -> 1 bit; session b: ratings 3,3 -> 0 bits
-        ds = _dataset(
+        counts = _counts(
             [_obs("a", "chat", 0, 1), _obs("a", "chat", 0, 5),
              _obs("b", "chat", 0, 3), _obs("b", "chat", 0, 3)]
         )
-        [(_, entry)] = iei_by_group(ds, aggregation=MEAN_OF_SESSIONS).results
+        [(_, entry)] = iei_by_group(counts, aggregation=MEAN_OF_SESSIONS).results
         assert entry.value == pytest.approx(0.5, abs=1e-12)
         assert entry.n_ratings == 4
 
     def test_pooled_differs_from_mean_of_sessions_here(self):
-        ds = _dataset(
+        counts = _counts(
             [_obs("a", "chat", 0, 1), _obs("a", "chat", 0, 5),
              _obs("b", "chat", 0, 3), _obs("b", "chat", 0, 3)]
         )
-        [(_, pooled)] = iei_by_group(ds, aggregation=POOLED).results
+        [(_, pooled)] = iei_by_group(counts, aggregation=POOLED).results
         assert pooled.value == pytest.approx(1.5, abs=1e-12)  # probs (1/4,0,1/2,0,1/4)
 
     def test_both_aggregations_stay_in_bounds(self):
-        ds = _dataset(
+        counts = _counts(
             [_obs(f"s{i % 3}", "chat", i % 4, 1 + (i * 2) % 5) for i in range(40)]
         )
         for aggregation in (POOLED, MEAN_OF_SESSIONS):
-            [(_, entry)] = iei_by_group(ds, aggregation=aggregation).results
+            [(_, entry)] = iei_by_group(counts, aggregation=aggregation).results
             assert 0.0 <= entry.value <= LOG2_5 + 1e-9
 
     def test_empty_dataset_raises(self):
         with pytest.raises(EmptyDataset):
-            iei_by_group(_dataset([]))
+            iei_by_group(_counts([]))
 
     def test_unknown_options_rejected(self):
-        ds = _dataset([_obs("s1", "chat", 0, 3)])
+        counts = _counts([_obs("s1", "chat", 0, 3)])
         with pytest.raises(ValueError):
-            iei_by_group(ds, grouping="per-user")
+            iei_by_group(counts, grouping="per-user")
         with pytest.raises(ValueError):
-            iei_by_group(ds, aggregation="median")
+            iei_by_group(counts, aggregation="median")
 
     def test_pooled_recovers_generator_entropy(self):
         # 10,000 draws from a known distribution: estimate within 0.05 bits
@@ -197,7 +199,7 @@ class TestIeiByGroup:
             true_beta0=3.0, true_beta1=0.0, noise_sd=0.0, completion_p=0.5,
             periods=10, sessions_per_period=1000, seed=991,
         )
-        [(_, entry)] = iei_by_group(gen_ratings(spec)).results
+        [(_, entry)] = iei_by_group(gen_ratings(spec).counts()).results
         assert entry.value == pytest.approx(entropy_bits_direct(probs), abs=0.05)
 
 
@@ -220,8 +222,8 @@ class TestMeanOfSessionsRegrouping:
         for session, category, period, rating in rows:
             group = category if grouping == PER_CATEGORY else (category, period)
             ratings.setdefault(group, {}).setdefault(session, []).append(rating)
-        ds = _dataset([_obs(*row) for row in rows])
-        results = iei_by_group(ds, grouping=grouping, aggregation=MEAN_OF_SESSIONS).results
+        counts = _counts([_obs(*row) for row in rows])
+        results = iei_by_group(counts, grouping=grouping, aggregation=MEAN_OF_SESSIONS).results
         assert [key for key, _ in results] == sorted(ratings)
         for key, entry in results:
             parts = list(ratings[key].values())
@@ -232,7 +234,7 @@ class TestMeanOfSessionsRegrouping:
     @given(rows=session_rows, grouping=groupings,
            aggregation=st.sampled_from([POOLED, MEAN_OF_SESSIONS]))
     def test_counts_are_left_as_they_were(self, rows, grouping, aggregation):
-        counts = _dataset([_obs(*row) for row in rows]).counts(aggregation)
+        counts = _counts([_obs(*row) for row in rows], aggregation)
         before = copy.deepcopy(counts)
         first = iei_by_group(counts, grouping=grouping, aggregation=aggregation)
         assert counts == before and list(counts.sessions) == list(before.sessions)

@@ -195,13 +195,6 @@ class TestValidateDataset:
         flags = [o.task_completed for o in result.dataset.observations]
         assert flags == [True, False, None, True]
 
-    def test_custom_row_numbers(self):
-        rows = [_row(), _row(rating=9)]
-        result = validate_dataset(
-            rows, five_point(), SKIP_INVALID, row_numbers=[10, 20]
-        )
-        assert result.rejections[0].row == 20
-
     def test_bad_strictness_rejected(self):
         with pytest.raises(ValueError, match="strictness"):
             validate_dataset([], five_point(), "lenient")

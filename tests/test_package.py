@@ -29,7 +29,7 @@ PUBLIC_NAMES = [
     "IntervalKind", "TrialSummary", "beta_cdf", "beta_quantile", "bucs",
     "equal_tailed_interval", "hdi", "posterior", "update_prior", "wald_ci",
     "GeneratorSpec", "category_presets", "discretized_line_distributions",
-    "gen_drift_series", "gen_ratings", "gen_session_rows", "gen_trials", "AduxReport",
+    "gen_drift_series", "gen_ratings", "gen_trials", "AduxReport",
     "CategoryResult", "EvalConfig", "Fig3Spec", "emit_plot_data", "emit_report",
     "emit_sessions", "evaluate", "report_document", "load_sessions", "tally_sessions",
 ]

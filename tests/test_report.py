@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from adux.bayes import BetaParams, bucs
 from adux.drift import fit_tdc, series_from_dataset
-from adux.entropy import MEAN_OF_SESSIONS, iei_by_group
+from adux.entropy import MEAN_OF_SESSIONS, POOLED, iei_by_group
 from adux.errors import (
     EmptyDataset,
     IoFailure,
@@ -21,7 +21,9 @@ from adux.errors import (
     UnknownFormat,
     UnknownRating,
 )
-from adux.model import Dataset, SKIP_INVALID, STRICT, SessionObservation, five_point
+from adux.model import (
+    Dataset, SKIP_INVALID, STRICT, SessionCounts, SessionObservation, five_point,
+)
 from adux import output as output_module
 from adux.report import (
     EvalConfig,
@@ -185,21 +187,25 @@ def _five_period_dataset():
     return Dataset(five_point(), tuple(observations))
 
 
+def _five_period_counts(aggregation=POOLED):
+    return _five_period_dataset().counts(aggregation)
+
+
 class TestEvaluate:
     def test_category_with_four_periods_has_tdc_unavailable(self):
-        report = evaluate(_five_period_dataset())
+        report = evaluate(_five_period_counts())
         by_name = {c.name: c for c in report.categories}
         assert by_name["search"].tdc is None
         assert by_name["search"].tdc_reason == "insufficient-periods"
         assert by_name["chat"].tdc is not None
 
     def test_identical_ratings_give_zero_iei(self):
-        report = evaluate(_five_period_dataset())
+        report = evaluate(_five_period_counts())
         by_name = {c.name: c for c in report.categories}
         assert by_name["search"].iei.value == 0.0
 
     def test_no_task_outcomes_bucs_unavailable_but_others_present(self):
-        report = evaluate(_five_period_dataset())
+        report = evaluate(_five_period_counts())
         by_name = {c.name: c for c in report.categories}
         assert by_name["search"].bucs is None
         assert by_name["search"].bucs_reason == "no-task-outcomes"
@@ -208,76 +214,77 @@ class TestEvaluate:
 
     def test_empty_dataset_raises(self):
         with pytest.raises(EmptyDataset):
-            evaluate(Dataset(five_point(), ()))
+            evaluate(SessionCounts(five_point()))
 
     def test_every_category_appears_exactly_once(self):
-        report = evaluate(_five_period_dataset())
+        report = evaluate(_five_period_counts())
         names = [c.name for c in report.categories]
         assert names == sorted(set(names)) == ["chat", "search"]
 
     def test_metrics_equal_direct_module_calls(self):
         ds = _five_period_dataset()
+        counts = ds.counts(MEAN_OF_SESSIONS)
         config = EvalConfig(prior=BetaParams(2, 2), mass=0.9,
                             aggregation=MEAN_OF_SESSIONS)
-        report = evaluate(ds, config)
+        report = evaluate(counts, config)
         by_name = {c.name: c for c in report.categories}
 
-        grouped = dict(iei_by_group(ds, aggregation=MEAN_OF_SESSIONS).results)
+        grouped = dict(iei_by_group(counts, aggregation=MEAN_OF_SESSIONS).results)
         assert by_name["chat"].iei == grouped["chat"]
 
-        fit = fit_tdc(series_from_dataset(ds, "chat"))
+        fit = fit_tdc(series_from_dataset(counts, "chat"))
         assert by_name["chat"].tdc == fit
 
-        outcomes = [o.task_completed for o in ds.for_category("chat")
-                    if o.task_completed is not None]
+        outcomes = [o.task_completed for o in ds.observations
+                    if o.category == "chat" and o.task_completed is not None]
         direct = bucs(BetaParams(2, 2),
                       by_name["chat"].trials.__class__(sum(outcomes), len(outcomes)),
                       0.9)
         assert by_name["chat"].bucs == direct
 
     def test_deterministic_modulo_timestamp(self):
-        ds = _five_period_dataset()
-        r1, r2 = evaluate(ds), evaluate(ds)
+        counts = _five_period_counts()
+        r1, r2 = evaluate(counts), evaluate(counts)
         assert emit_report(r1, no_meta=True) == emit_report(r2, no_meta=True)
 
     def test_rejected_count_flows_to_meta(self):
-        report = evaluate(_five_period_dataset(), n_rejected=3)
+        report = evaluate(_five_period_counts(), n_rejected=3)
         assert report.meta.rejected == 3
         assert report.meta.rows == 14
 
 
 class TestEmitReport:
     def test_json_roundtrip_is_structurally_equal(self):
-        report = evaluate(_five_period_dataset())
+        report = evaluate(_five_period_counts())
         text = emit_report(report, fmt="json")
         assert json.loads(text) == report_document(report)
 
     def test_schema_key_order(self):
-        report = evaluate(_five_period_dataset())
+        report = evaluate(_five_period_counts())
         doc = json.loads(emit_report(report, fmt="json"))
         assert list(doc) == ["scale", "categories", "meta"]
         assert list(doc["categories"][0]) == ["name", "iei", "tdc", "bucs"]
         assert list(doc["categories"][0]["iei"]) == ["bits", "normalized", "n"]
 
     def test_unavailable_metrics_carry_reason_codes(self):
-        report = evaluate(_five_period_dataset())
+        report = evaluate(_five_period_counts())
         doc = json.loads(emit_report(report, fmt="json"))
         search = [c for c in doc["categories"] if c["name"] == "search"][0]
         assert search["tdc"] == {"unavailable": "insufficient-periods"}
         assert search["bucs"] == {"unavailable": "no-task-outcomes"}
 
     def test_no_meta_drops_meta_block(self):
-        report = evaluate(_five_period_dataset())
+        report = evaluate(_five_period_counts())
         doc = json.loads(emit_report(report, fmt="json", no_meta=True))
         assert "meta" not in doc
 
     def test_csv_has_three_rows_per_category(self):
-        report = evaluate(_five_period_dataset())
+        report = evaluate(_five_period_counts())
         lines = emit_report(report, fmt="csv").strip().split("\n")
         assert len(lines) == 1 + 3 * len(report.categories)
 
     def test_csv_and_json_agree_to_nine_digits(self):
-        report = evaluate(_five_period_dataset())
+        report = evaluate(_five_period_counts())
         doc = json.loads(emit_report(report, fmt="json"))
         csv_lines = emit_report(report, fmt="csv").strip().split("\n")
         header = csv_lines[0].split(",")
@@ -300,10 +307,10 @@ class TestEmitReport:
 
     def test_unknown_format_rejected(self):
         with pytest.raises(UnknownFormat):
-            emit_report(evaluate(_five_period_dataset()), fmt="yaml")
+            emit_report(evaluate(_five_period_counts()), fmt="yaml")
 
     def test_atomic_write_failure_leaves_no_file(self, tmp_path):
-        report = evaluate(_five_period_dataset())
+        report = evaluate(_five_period_counts())
         target = tmp_path / "missing-dir" / "report.json"
         with pytest.raises(IoFailure):
             emit_report(report, destination=target)
@@ -328,7 +335,7 @@ class TestEmitReport:
         assert [p.name for p in tmp_path.iterdir()] == ["sessions.csv"]
 
     def test_write_to_path(self, tmp_path):
-        report = evaluate(_five_period_dataset())
+        report = evaluate(_five_period_counts())
         target = tmp_path / "report.json"
         text = emit_report(report, destination=target)
         assert target.read_text() == text
@@ -390,14 +397,14 @@ class TestEmitSessions:
 
 class TestPlotData:
     def test_fig1_rows(self):
-        report = evaluate(_five_period_dataset())
+        report = evaluate(_five_period_counts())
         lines = emit_plot_data(report, "fig1").strip().split("\n")
         assert lines[0] == "category,iei_bits,iei_normalized"
         assert len(lines) == 1 + len(report.categories)
         assert lines[1].startswith("chat,")
 
     def test_fig2_rows_include_fit_when_available(self):
-        report = evaluate(_five_period_dataset())
+        report = evaluate(_five_period_counts())
         lines = emit_plot_data(report, "fig2").strip().split("\n")
         assert lines[0] == "category,t,u,fitted_u"
         chat_rows = [l for l in lines[1:] if l.startswith("chat,")]
@@ -420,7 +427,7 @@ class TestPlotData:
         assert float(bucs_width) > 0.0
 
     def test_wrong_source_type_is_missing_input(self):
-        report = evaluate(_five_period_dataset())
+        report = evaluate(_five_period_counts())
         with pytest.raises(MissingInput):
             emit_plot_data(report, "fig3")
         with pytest.raises(MissingInput):
@@ -428,7 +435,7 @@ class TestPlotData:
 
     def test_unknown_figure(self):
         with pytest.raises(UnknownFormat):
-            emit_plot_data(evaluate(_five_period_dataset()), "fig9")
+            emit_plot_data(evaluate(_five_period_counts()), "fig9")
 
     def test_fig3_spec_validation(self):
         with pytest.raises(ValueError):

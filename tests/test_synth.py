@@ -27,7 +27,7 @@ from adux.synth import (
     discretized_line_distributions,
     gen_drift_series,
     gen_ratings,
-    gen_session_rows,
+    gen_session_columns,
     gen_trials,
 )
 from oracles import entropy_bits_direct
@@ -80,7 +80,7 @@ class TestGenRatings:
         dist = DiscreteDistribution(five_point(), (0.0, 0.0, 1.0, 0.0, 0.0))
         ds = gen_ratings(_spec(true_distribution=dist))
         assert {o.rating for o in ds.observations} == {3}
-        [(_, entry)] = iei_by_group(ds).results
+        [(_, entry)] = iei_by_group(ds.counts()).results
         assert entry.value == 0.0
 
     def test_same_seed_is_byte_identical(self):
@@ -93,7 +93,7 @@ class TestGenRatings:
 
     def test_uniform_recovers_max_entropy(self):
         ds = gen_ratings(_spec(periods=10, sessions_per_period=1000, seed=5))
-        [(_, entry)] = iei_by_group(ds).results
+        [(_, entry)] = iei_by_group(ds.counts()).results
         assert entry.value == pytest.approx(math.log2(5), abs=0.05)
 
     def test_completion_extremes(self):
@@ -143,7 +143,9 @@ class TestGenSessionRows:
             done = [rng.random() < spec.completion_p for _ in range(50)]
             expected += [(f"chat-p{t}-s{i}", "chat", t, idx[i] + 1, done[i])
                          for i in range(50)]
-        assert list(gen_session_rows(spec)) == expected
+        rows = [(s, *key) for ids, keys in gen_session_columns(spec)
+                for s, key in zip(ids, keys)]
+        assert rows == expected
 
     def test_uniform_past_the_last_cumulative_prob_takes_the_last_code(self):
         # Cumulative sums may top out below 1.0; as with a clamp, a uniform
@@ -160,11 +162,10 @@ class TestGenSessionRows:
         sample = synth._sample_codes
         monkeypatch.setattr(synth, "_sample_codes",
                             lambda *a: calls.append(a[2]) or sample(*a))
-        rows = gen_session_rows(_spec(periods=4, sessions_per_period=25))
-        next(rows)
+        periods = gen_session_columns(_spec(periods=4, sessions_per_period=25))
+        next(periods)
         assert calls == [25]
-        for _ in range(25):
-            next(rows)
+        next(periods)
         assert calls == [25, 25]
 
 
