@@ -48,15 +48,15 @@ dataset = Dataset(space, tuple(observations))
 
 print()
 print("Per-category IEI (pooled: one distribution per category):")
-for key, entry in iei_by_group(dataset.counts()).results:
+for key, entry in iei_by_group(dataset.counts()):
     print(f"  {key:14s} {entry.value:.4f} bits over {entry.n_ratings} ratings")
 
 # Pooling is the default. The alternative averages the entropy of each
-# session separately, so its counts are tallied per session too; with one
-# rating per session that average is 0, which is why the choice matters and
-# both are exposed.
+# session separately; the aggregation is chosen when the counts are made,
+# and iei_by_group reads it from them. With one rating per session that
+# average is 0, which is why the choice matters and both are exposed.
 per_session = dataset.counts("mean-of-sessions")
 print()
 print("Mean-of-sessions IEI (each session here has a single rating):")
-for key, entry in iei_by_group(per_session, aggregation="mean-of-sessions").results:
+for key, entry in iei_by_group(per_session):
     print(f"  {key:14s} {entry.value:.4f} bits")

@@ -40,7 +40,7 @@ _EXPORTS = {
         "validate_dataset",
     ),
     "entropy": (
-        "EntropyBits", "GroupedEntropy", "MEAN_OF_SESSIONS", "PER_CATEGORY",
+        "EntropyBits", "MEAN_OF_SESSIONS", "PER_CATEGORY",
         "PER_CATEGORY_PER_PERIOD", "POOLED", "iei", "iei_by_group", "iei_of_ratings",
     ),
     "drift": (

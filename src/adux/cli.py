@@ -214,9 +214,8 @@ def _cmd_iei(args: argparse.Namespace) -> int:
     counts, rejections = _tally(args, args.aggregation)
     grouping = (_cli.PER_CATEGORY if args.group_by == "category"
                 else _cli.PER_CATEGORY_PER_PERIOD)
-    grouped = _cli.iei_by_group(counts, grouping=grouping, aggregation=args.aggregation)
     rows = []
-    for key, entry in grouped.results:
+    for key, entry in _cli.iei_by_group(counts, grouping=grouping):
         group = (
             {"category": key} if isinstance(key, str)
             else {"category": key[0], "period": key[1]}
@@ -258,7 +257,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     # Made before the tally, so that the evaluation modules load before the
     # tally grows the heap: loaded after it, they raised the peak RSS of a
     # 200k-row report by 0.5%.
-    config = _cli.EvalConfig(prior=args.prior, mass=args.mass, aggregation=args.aggregation)
+    config = _cli.EvalConfig(prior=args.prior, mass=args.mass)
     counts, rejections = _tally(args, args.aggregation)
     report = _cli.evaluate(counts, config, n_rejected=len(rejections))
     _to_stderr(f"adux: config digest {report.meta.config_digest}\n")
@@ -362,8 +361,7 @@ def _cmd_plotdata(args: argparse.Namespace) -> int:
         if not args.input:
             raise _UsageError(f"{args.figure} needs --input")
         counts, rejections = _tally(args, args.aggregation)
-        config = _cli.EvalConfig(prior=args.prior, mass=args.mass,
-                                 aggregation=args.aggregation)
+        config = _cli.EvalConfig(prior=args.prior, mass=args.mass)
         report = _cli.evaluate(counts, config, n_rejected=len(rejections))
         _emit(args, _cli.emit_plot_data(report, args.figure))
         return EXIT_OK

@@ -7,18 +7,21 @@ interface); zero means every rating landed on one level.
 
 Grouped IEI is computed from rating counts (:class:`~adux.model.SessionCounts`),
 never from the rows themselves: a probability is count / n, the same float
-whether the ratings are counted or listed.
+whether the ratings are counted or listed. The counts also carry the
+aggregation, pooled or mean-of-sessions, that was chosen when they were
+made.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from operator import add
+from collections.abc import Sequence
 
 from ._record import record
 from .errors import EmptyDataset
-from .model import (
+# MEAN_OF_SESSIONS is re-exported, beside POOLED, for adux.__all__.
+from .model import (  # noqa: F401
     MEAN_OF_SESSIONS,
     POOLED,
     DiscreteDistribution,
@@ -80,19 +83,12 @@ def iei_of_ratings(ratings, space: ResponseSpace) -> EntropyBits:
     return iei(build_distribution(ratings, space))
 
 
-@record(frozen=True)
-class GroupedEntropy:
-    """Per-group IEI results, one per group that has ratings."""
-
-    results: tuple[tuple[GroupKey, EntropyBits], ...]
-
-
 def _entropy_of_counts(counts: tuple[int, ...]) -> float:
     n = sum(counts)
     return _entropy_bits(tuple(c / n for c in counts))
 
 
-def _mean_entropy(parts: list[list[int]], space: ResponseSpace) -> EntropyBits:
+def _mean_entropy(parts: list[Sequence[int]], space: ResponseSpace) -> EntropyBits:
     """IEI of a group as the unweighted mean over its parts' rating counts:
     its sessions, or the whole group as one part when pooled.
 
@@ -114,56 +110,44 @@ def _mean_entropy(parts: list[list[int]], space: ResponseSpace) -> EntropyBits:
 
 
 def iei_by_group(
-    counts: SessionCounts,
-    grouping: str = PER_CATEGORY,
-    aggregation: str = POOLED,
-) -> GroupedEntropy:
-    """IEI per group of a session log's counts.
+    counts: SessionCounts, grouping: str = PER_CATEGORY
+) -> tuple[tuple[GroupKey, EntropyBits], ...]:
+    """IEI per group of a session log's counts, as (key, IEI) pairs.
 
-    Grouping is per category or per (category, period). Pooled aggregation
-    builds one distribution from all ratings in the group; mean-of-sessions
-    computes the IEI of each session separately and averages them
-    (unweighted), which needs counts tallied per session. ``n_ratings``
-    reports the total ratings in the group either way. Group keys come back
-    sorted for deterministic output.
+    Grouping is per category or per (category, period). The aggregation is
+    the counts' own: pooled builds one distribution from all ratings in the
+    group; mean-of-sessions computes the IEI of each session separately and
+    averages them (unweighted). ``n_ratings`` reports the total ratings in
+    the group either way. Group keys come back sorted for deterministic
+    output.
 
     Counts are read, never changed: each group takes its count lists by
-    reference, and a new list is summed only for a session whose rows fall
-    in two periods of one category.
+    reference, and a new list is summed only for a group that gathers more
+    than one of them, such as a session whose rows fall in two periods of
+    one category.
     """
     if grouping not in (PER_CATEGORY, PER_CATEGORY_PER_PERIOD):
         raise ValueError(f"unknown grouping {grouping!r}")
-    if aggregation not in (POOLED, MEAN_OF_SESSIONS):
-        raise ValueError(f"unknown aggregation {aggregation!r}")
     if len(counts) == 0:
         raise EmptyDataset("cannot compute grouped IEI on an empty dataset")
 
-    parts: defaultdict[GroupKey, list[list[int]]] = defaultdict(list)
-    if aggregation == POOLED:
+    parts: defaultdict[GroupKey, list[Sequence[int]]] = defaultdict(list)
+    if counts.aggregation == POOLED:
         if grouping == PER_CATEGORY:
             pooled = sum_counts((c, n) for (c, _), n in counts.levels.items())
         else:
             pooled = counts.levels
         for key, n in pooled.items():
             parts[key].append(n)
-    elif not counts.per_session:
-        raise ValueError("mean-of-sessions IEI needs counts tallied per session")
     elif grouping == PER_CATEGORY_PER_PERIOD:
         # Sessions keep first-seen order within their group, so the mean
         # sums the session entropies in the order the rows listed them.
         for (c, p, _), n in counts.sessions.items():
             parts[c, p].append(n)
     else:
-        # A session seen in two periods of a category is one part, its
-        # counts added up in a new list at the place the session was first
-        # seen; a session seen in one period is its counts as they are.
-        sessions: dict[tuple[str, str], list[int]] = {}
-        for (c, _, s), n in counts.sessions.items():
-            key = c, s
-            mine = sessions.get(key)
-            sessions[key] = n if mine is None else list(map(add, mine, n))
+        # A session seen in two periods of a category is one part, at the
+        # place the session was first seen.
+        sessions = sum_counts(((c, s), n) for (c, _, s), n in counts.sessions.items())
         for (c, _), n in sessions.items():
             parts[c].append(n)
-    return GroupedEntropy(results=tuple(
-        (key, _mean_entropy(parts[key], counts.space)) for key in sorted(parts)
-    ))
+    return tuple((key, _mean_entropy(parts[key], counts.space)) for key in sorted(parts))

@@ -126,29 +126,14 @@ def _utc_day(text: str) -> int:
 _FIELDS = ("session_id", "category", "period", "rating", "task_completed", "timestamp")
 
 
-# The distinct-line count reads about this many characters of whole lines
-# at a time, taking at most _STEP_LINES lines from the handle per call so
-# that a sudden run of long lines overshoots by little. It hands off once
-# it holds more than _MAX_KEYS distinct lines, so its memory stays bounded.
+# The distinct-line count reads whole lines, about this many characters at
+# a time. It hands off once it holds more than _MAX_KEYS distinct lines, so
+# its memory stays bounded.
 _CHUNK_CHARS = 16_384
-_STEP_LINES = 64
 _MAX_KEYS = 4096
 # Stands in for the session id that the count cuts off each line; lines
 # whose session id is empty never reach the count.
 _ANY_SESSION = "-"
-
-
-def _read_chunk(handle: IO[str]) -> list[str]:
-    """Whole lines of ``handle``, up to about _CHUNK_CHARS characters."""
-    lines: list[str] = []
-    chars = 0
-    while chars < _CHUNK_CHARS:
-        n = len(lines)
-        lines.extend(islice(handle, _STEP_LINES))
-        if len(lines) == n:
-            break
-        chars += sum(map(len, lines[n:]))
-    return lines
 
 
 def _count_distinct_lines(
@@ -190,7 +175,7 @@ def _count_distinct_lines(
     seen: Counter[str] = Counter()
     read = 0
     limit = csv.field_size_limit()
-    while lines := _read_chunk(handle):
+    while lines := handle.readlines(_CHUNK_CHARS):
         text = "".join(lines)
         if ('"' in text or "\r" in text or "\0" in text or text[0] == "," or "\n," in text
                 or (len(text) > limit and max(map(len, lines)) > limit)):
@@ -238,7 +223,7 @@ def _csv_records(
         column = {name: i for i, name in enumerate(header)}
         # An absent field reads the None appended after the last cell.
         pick = itemgetter(*(column.get(name, width) for name in _FIELDS))
-        if counts is not None and not counts.per_session and column["session_id"] == 0:
+        if counts is not None and counts.aggregation == POOLED and column["session_id"] == 0:
             counted, rest = _count_distinct_lines(handle, width, pick, counts)
             counted += reader.line_num
             reader = csv.reader(rest)
@@ -440,11 +425,11 @@ def tally_sessions(
     ``tally_sessions(..., aggregation=a)[0]`` equals
     ``load_sessions(...).dataset.counts(a)``, but keeps only counts: memory
     grows with the distinct (category, period) pairs, not with the rows.
-    Sessions are counted one by one only for ``aggregation="mean-of-sessions"``.
+    The counts carry ``aggregation``, which every IEI of them is computed
+    under; sessions are counted one by one only for ``"mean-of-sessions"``,
+    and any value but that and ``"pooled"`` is a ValueError.
     """
-    counts = SessionCounts.for_aggregation(
-        space if space is not None else five_point(), aggregation
-    )
+    counts = SessionCounts(space if space is not None else five_point(), aggregation)
     rejections, period_of = _ingest(
         source, fmt, counts.space, strictness, counts.add, counts
     )

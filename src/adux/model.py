@@ -8,9 +8,10 @@ mappings (:func:`validate_dataset`) and rows streamed from a file
 (``ingest.load_sessions`` and ``ingest.tally_sessions``). The metrics need
 only sufficient statistics, which :class:`SessionCounts` holds: rating
 counts per (category, period), task outcomes per category and, for the
-mean-of-sessions IEI, rating counts per session. It is the one mutable
-type here, an accumulator that is filled a row at a time, and the one
-input every metric takes; ``ingest.tally_sessions`` fills it from a log.
+mean-of-sessions IEI, rating counts per session; the IEI aggregation is
+set when the counts are made. It is the one mutable type here, an
+accumulator that is filled a row at a time, and the one input every
+metric takes; ``ingest.tally_sessions`` fills it from a log.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Hashable, Iterable, Mapping, Sequence
+from operator import add
 from typing import Any, TypeVar
 
 from ._record import field, record
@@ -138,21 +140,18 @@ class SessionObservation:
 _K = TypeVar("_K", bound=Hashable)
 
 # How IEI aggregates a group: one distribution of all its ratings, or the
-# unweighted mean of each session's entropy (which needs per-session counts).
+# unweighted mean of each session's entropy (which needs counts per session).
 POOLED = "pooled"
 MEAN_OF_SESSIONS = "mean-of-sessions"
 
 
-def sum_counts(pairs: Iterable[tuple[_K, Sequence[int]]]) -> dict[_K, list[int]]:
-    """Add up count vectors that share a key; keys keep first-seen order."""
-    total: dict[_K, list[int]] = {}
+def sum_counts(pairs: Iterable[tuple[_K, Sequence[int]]]) -> dict[_K, Sequence[int]]:
+    """Add up count vectors that share a key; keys keep first-seen order.
+    No vector given is changed: a key seen again gets a new list of sums."""
+    total: dict[_K, Sequence[int]] = {}
     for key, counts in pairs:
         mine = total.get(key)
-        if mine is None:
-            total[key] = list(counts)
-        else:
-            for i, c in enumerate(counts):
-                mine[i] += c
+        total[key] = counts if mine is None else list(map(add, mine, counts))
     return total
 
 
@@ -160,30 +159,30 @@ def sum_counts(pairs: Iterable[tuple[_K, Sequence[int]]]) -> dict[_K, list[int]]
 class SessionCounts:
     """Sufficient statistics of a session log, filled one row at a time.
 
+    ``aggregation`` is how IEI aggregates a group of these counts,
+    ``pooled`` or ``mean-of-sessions``; any other value is a ValueError.
     ``levels`` maps (category, period) to rating counts, one per level of
     ``space`` in order. ``trials`` maps a category to
     ``[completions, trials]`` over its rows that carry a task outcome.
-    ``sessions`` is filled only when ``per_session`` is set (the
-    mean-of-sessions IEI needs it): it maps (category, period, session_id)
-    to rating counts, in the order the keys were first seen, which is the
-    order the mean of session entropies is summed in. ``len()`` is the
-    number of rows counted.
+    ``sessions`` is filled only under ``mean-of-sessions``, which reads it:
+    it maps (category, period, session_id) to rating counts, in the order
+    the keys were first seen, which is the order the mean of session
+    entropies is summed in. ``len()`` is the number of rows counted.
     """
 
     space: ResponseSpace
-    per_session: bool = False
+    aggregation: str = POOLED
     rows: int = 0
     levels: dict[tuple[str, int], list[int]] = field(default_factory=dict)
     trials: dict[str, list[int]] = field(default_factory=dict)
     sessions: dict[tuple[str, int, str], list[int]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.aggregation not in (POOLED, MEAN_OF_SESSIONS):
+            raise ValueError(f"aggregation must be {POOLED!r} or {MEAN_OF_SESSIONS!r}, "
+                             f"got {self.aggregation!r}")
+        self._by_session = self.aggregation == MEAN_OF_SESSIONS
         self._index = {code: i for i, code in enumerate(self.space.codes)}
-
-    @classmethod
-    def for_aggregation(cls, space: ResponseSpace, aggregation: str = POOLED) -> SessionCounts:
-        """Empty counts holding what IEI under ``aggregation`` reads."""
-        return cls(space, per_session=aggregation == MEAN_OF_SESSIONS)
 
     def add(
         self,
@@ -213,7 +212,7 @@ class SessionCounts:
             if task_completed:
                 outcomes[0] += n
             outcomes[1] += n
-        if self.per_session:
+        if self._by_session:
             session_key = (category, period, session_id)
             counts = self.sessions.get(session_key)
             if counts is None:
@@ -246,8 +245,9 @@ class Dataset:
                 )
 
     def counts(self, aggregation: str = POOLED) -> SessionCounts:
-        """The sufficient statistics of these observations, in their order."""
-        tally = SessionCounts.for_aggregation(self.space, aggregation)
+        """The sufficient statistics of these observations, in their order,
+        for IEI under ``aggregation``."""
+        tally = SessionCounts(self.space, aggregation)
         for o in self.observations:
             tally.add(o.session_id, o.category, o.period, o.rating, o.task_completed)
         return tally

@@ -157,13 +157,16 @@ def open_output(destination: str | Path | IO[str]) -> Iterator[IO[str]]:
     a temporary file in its directory that replaces the path only when the
     block ends without error, so a failed write leaves no partial file.
     The file keeps the mode of the one it replaces, or takes the umask's,
-    as a shell's ``>`` gives. A FIFO, a device or any other path that is
-    not a regular file is written in place, so its reader gets the text.
+    as a shell's ``>`` gives. A symbolic link is written through, as ``>``
+    writes it: its target is replaced (or made, for a dangling link) and
+    the link stays. A FIFO, a device or any other path that is not a
+    regular file is written in place, so its reader gets the text.
     """
     if hasattr(destination, "write"):
         yield destination
         return
-    path = Path(destination)
+    given = Path(destination)
+    path = Path(os.path.realpath(given))
     try:
         try:
             mode = os.stat(path).st_mode
@@ -188,7 +191,7 @@ def open_output(destination: str | Path | IO[str]) -> Iterator[IO[str]]:
             raise
     except OSError as exc:
         # The OS reason alone: the exception's own text names the temp file.
-        raise IoFailure(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise IoFailure(f"cannot write {given}: {exc.strerror or exc}") from exc
 
 
 def _write_text(text: str, destination: str | Path | IO[str] | None) -> str:

@@ -8,7 +8,8 @@ machine-readable reason code instead of being silently dropped.
 
 Every metric needs only counts, so the pipeline streams: one pass reads,
 validates and counts each row (:func:`~adux.ingest.tally_sessions`), and
-:func:`evaluate` works from those counts alone. The CSV report, the plot
+:func:`evaluate` works from those counts alone; the IEI aggregation is
+chosen for the tally, and the counts carry it. The CSV report, the plot
 data and the session log that :func:`emit_sessions` writes back from a
 dataset all print through the one CSV writer in :mod:`adux.output`, and
 every file is written through :func:`adux.output.open_output`, so a
@@ -39,7 +40,7 @@ from ._record import record
 from .bayes import BetaParams, BucsResult, TrialSummary
 from .bayes import bucs, hdi, posterior, wald_ci
 from .drift import MIN_POINTS, TdcFit, UsabilitySeries, fit_tdc, series_from_dataset
-from .entropy import EntropyBits, POOLED, PER_CATEGORY, iei_by_group
+from .entropy import EntropyBits, PER_CATEGORY, iei_by_group
 from .errors import EmptyDataset, MissingInput, UnknownFormat
 # Re-exported, so that code importing them from adux.report keeps working
 # (benchmark/child.py times validate_dataset under this name).
@@ -81,19 +82,21 @@ def emit_sessions(
 
 @record(frozen=True)
 class EvalConfig:
-    """Evaluation options applied uniformly across categories."""
+    """Evaluation options applied uniformly across categories. The IEI
+    aggregation is not one of them: the counts carry it."""
 
     prior: BetaParams = BetaParams(1.0, 1.0)
     mass: float = 0.95
-    aggregation: str = POOLED
 
-    def digest(self, space: ResponseSpace) -> str:
+    def digest(self, counts: SessionCounts) -> str:
+        """The first 12 hex digits of the sha256 of the scale, prior, mass
+        and aggregation an evaluation of ``counts`` runs under."""
         payload = json.dumps(
             {
-                "scale": [[code, str(code)] for code in space.codes],
+                "scale": [[code, str(code)] for code in counts.space.codes],
                 "prior": [self.prior.alpha, self.prior.beta],
                 "mass": self.mass,
-                "aggregation": self.aggregation,
+                "aggregation": counts.aggregation,
             },
             sort_keys=True,
         )
@@ -140,9 +143,9 @@ def evaluate(
 ) -> AduxReport:
     """Run the full three-metric evaluation for every category.
 
-    Reads only counts, tallied for ``config.aggregation``: those of a log
-    (:func:`~adux.ingest.tally_sessions`), or of row objects
-    (:meth:`Dataset.counts`). IEI is always computed. TDC needs at least
+    Reads only counts: those of a log (:func:`~adux.ingest.tally_sessions`),
+    or of row objects (:meth:`Dataset.counts`). IEI is always computed,
+    under the aggregation the counts were made for. TDC needs at least
     five populated periods and is otherwise reported unavailable with reason
     ``insufficient-periods``.
     BUCS needs task outcomes and is otherwise reported unavailable with
@@ -152,9 +155,7 @@ def evaluate(
     if len(counts) == 0:
         raise EmptyDataset("cannot evaluate an empty dataset")
 
-    grouped = dict(
-        iei_by_group(counts, grouping=PER_CATEGORY, aggregation=config.aggregation).results
-    )
+    grouped = dict(iei_by_group(counts, grouping=PER_CATEGORY))
 
     categories = []
     for name in counts.categories():
@@ -187,8 +188,8 @@ def evaluate(
     meta = ReportMeta(
         rows=len(counts),
         rejected=n_rejected,
-        config_digest=config.digest(counts.space),
-        aggregation=config.aggregation,
+        config_digest=config.digest(counts),
+        aggregation=counts.aggregation,
         prior=config.prior,
         mass=config.mass,
         version=__version__,

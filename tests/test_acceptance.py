@@ -103,7 +103,7 @@ def test_criterion_02_entropy_recovery():
                 true_beta0=3.0, true_beta1=0.0, noise_sd=0.0, completion_p=0.5,
                 periods=10, sessions_per_period=1000, seed=4200 + i,
             )
-            [(_, entry)] = iei_by_group(gen_ratings(spec).counts()).results
+            [(_, entry)] = iei_by_group(gen_ratings(spec).counts())
             assert entry.n_ratings == 10_000
             assert entry.value == pytest.approx(entropy_bits_direct(probs), abs=0.05)
 

@@ -308,6 +308,31 @@ class TestOutFile:
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert os.listdir(tmp_path) == ["out.fifo"]
 
+    @pytest.mark.parametrize("dangling", [False, True])
+    def test_a_symlink_is_written_through(self, dangling, tmp_path):
+        # As a shell's `>` does: the target gets the text and keeps its own
+        # mode, a dangling link's target is made, and the link stays a link.
+        target = tmp_path / "target" / "bucs.json"
+        target.parent.mkdir()
+        if not dangling:
+            target.write_text("old\n")
+            target.chmod(0o604)
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        assert _with_umask(0o022, lambda: main([*BUCS_OUT, str(link)])) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert json.loads(target.read_text())["posterior"] == {"alpha": 8, "beta": 4}
+        assert stat.S_IMODE(os.stat(target).st_mode) == (0o644 if dangling else 0o604)
+        assert sorted(os.listdir(target.parent)) == ["bucs.json"]
+
+    def test_an_unwritable_symlink_target_names_the_link(self, tmp_path, capsys):
+        link = tmp_path / "link.json"
+        link.symlink_to(tmp_path / "missing-dir" / "bucs.json")
+        assert main([*BUCS_OUT, str(link)]) == 2
+        assert capsys.readouterr().err.endswith(
+            f"adux: error: cannot write {link}: {os.strerror(errno.ENOENT)}\n")
+        assert link.is_symlink() and not link.exists()
+
     @pytest.mark.parametrize("mask, mode", [(0o022, 0o644), (0o027, 0o640)])
     def test_a_new_file_gets_the_mode_the_umask_gives(self, mask, mode, tmp_path):
         out = tmp_path / "bucs.json"

@@ -116,16 +116,15 @@ def _obs(session, category, period, rating):
     return SessionObservation(session, category, period, rating)
 
 
-def _counts(observations, aggregation=MEAN_OF_SESSIONS):
-    """The counts of these rows, by default tallied per session too, which
-    either aggregation reads."""
+def _counts(observations, aggregation=POOLED):
+    """The counts of these rows, for IEI under ``aggregation``."""
     return Dataset(five_point(), tuple(observations)).counts(aggregation)
 
 
 class TestIeiByGroup:
     def test_identical_ratings_give_zero(self):
         counts = _counts([_obs(f"s{i}", "chat", 0, 4) for i in range(6)])
-        [(key, entry)] = iei_by_group(counts).results
+        [(key, entry)] = iei_by_group(counts)
         assert key == "chat"
         assert entry.value == 0.0
         assert entry.n_ratings == 6
@@ -136,26 +135,27 @@ class TestIeiByGroup:
             [_obs(f"a{i}", "alpha", 0, r) for i, r in enumerate(ratings)]
             + [_obs(f"b{i}", "beta", 0, r) for i, r in enumerate(ratings)]
         )
-        results = dict(iei_by_group(counts).results)
+        results = dict(iei_by_group(counts))
         assert results["alpha"].value == results["beta"].value
 
     def test_group_keys_sorted(self):
         counts = _counts([_obs("s1", "zeta", 0, 3), _obs("s2", "alpha", 0, 3)])
-        keys = [k for k, _ in iei_by_group(counts).results]
+        keys = [k for k, _ in iei_by_group(counts)]
         assert keys == ["alpha", "zeta"]
 
     def test_per_category_per_period_keys(self):
         counts = _counts([_obs("s1", "chat", 0, 3), _obs("s2", "chat", 1, 4)])
-        keys = [k for k, _ in iei_by_group(counts, grouping=PER_CATEGORY_PER_PERIOD).results]
+        keys = [k for k, _ in iei_by_group(counts, grouping=PER_CATEGORY_PER_PERIOD)]
         assert keys == [("chat", 0), ("chat", 1)]
 
     def test_mean_of_sessions_averages_per_session_entropy(self):
         # session a: ratings 1,5 -> 1 bit; session b: ratings 3,3 -> 0 bits
         counts = _counts(
             [_obs("a", "chat", 0, 1), _obs("a", "chat", 0, 5),
-             _obs("b", "chat", 0, 3), _obs("b", "chat", 0, 3)]
+             _obs("b", "chat", 0, 3), _obs("b", "chat", 0, 3)],
+            MEAN_OF_SESSIONS,
         )
-        [(_, entry)] = iei_by_group(counts, aggregation=MEAN_OF_SESSIONS).results
+        [(_, entry)] = iei_by_group(counts)
         assert entry.value == pytest.approx(0.5, abs=1e-12)
         assert entry.n_ratings == 4
 
@@ -164,15 +164,13 @@ class TestIeiByGroup:
             [_obs("a", "chat", 0, 1), _obs("a", "chat", 0, 5),
              _obs("b", "chat", 0, 3), _obs("b", "chat", 0, 3)]
         )
-        [(_, pooled)] = iei_by_group(counts, aggregation=POOLED).results
+        [(_, pooled)] = iei_by_group(counts)
         assert pooled.value == pytest.approx(1.5, abs=1e-12)  # probs (1/4,0,1/2,0,1/4)
 
     def test_both_aggregations_stay_in_bounds(self):
-        counts = _counts(
-            [_obs(f"s{i % 3}", "chat", i % 4, 1 + (i * 2) % 5) for i in range(40)]
-        )
+        rows = [_obs(f"s{i % 3}", "chat", i % 4, 1 + (i * 2) % 5) for i in range(40)]
         for aggregation in (POOLED, MEAN_OF_SESSIONS):
-            [(_, entry)] = iei_by_group(counts, aggregation=aggregation).results
+            [(_, entry)] = iei_by_group(_counts(rows, aggregation))
             assert 0.0 <= entry.value <= LOG2_5 + 1e-9
 
     def test_empty_dataset_raises(self):
@@ -183,8 +181,8 @@ class TestIeiByGroup:
         counts = _counts([_obs("s1", "chat", 0, 3)])
         with pytest.raises(ValueError):
             iei_by_group(counts, grouping="per-user")
-        with pytest.raises(ValueError):
-            iei_by_group(counts, aggregation="median")
+        with pytest.raises(ValueError, match="aggregation must be"):
+            _counts([_obs("s1", "chat", 0, 3)], "median")
 
     def test_pooled_recovers_generator_entropy(self):
         # 10,000 draws from a known distribution: estimate within 0.05 bits
@@ -199,7 +197,7 @@ class TestIeiByGroup:
             true_beta0=3.0, true_beta1=0.0, noise_sd=0.0, completion_p=0.5,
             periods=10, sessions_per_period=1000, seed=991,
         )
-        [(_, entry)] = iei_by_group(gen_ratings(spec).counts()).results
+        [(_, entry)] = iei_by_group(gen_ratings(spec).counts())
         assert entry.value == pytest.approx(entropy_bits_direct(probs), abs=0.05)
 
 
@@ -209,21 +207,24 @@ session_rows = st.lists(
     min_size=1, max_size=30,
 )
 groupings = st.sampled_from([PER_CATEGORY, PER_CATEGORY_PER_PERIOD])
+aggregations = st.sampled_from([POOLED, MEAN_OF_SESSIONS])
 
 
 class TestMeanOfSessionsRegrouping:
-    """Mean-of-sessions IEI regroups the per-session counts by reference."""
+    """IEI regroups the counts by reference, under either aggregation."""
 
-    @given(rows=session_rows, grouping=groupings)
-    def test_mean_of_each_sessions_ratings(self, rows, grouping):
+    @given(rows=session_rows, grouping=groupings, aggregation=aggregations)
+    def test_mean_of_each_sessions_ratings(self, rows, grouping, aggregation):
         # A session's part of a group is all its ratings in that group, and
         # the mean sums the sessions in the order the rows first list them.
+        # Pooled, a group is one part of all its ratings.
         ratings: dict = {}
         for session, category, period, rating in rows:
             group = category if grouping == PER_CATEGORY else (category, period)
-            ratings.setdefault(group, {}).setdefault(session, []).append(rating)
-        counts = _counts([_obs(*row) for row in rows])
-        results = iei_by_group(counts, grouping=grouping, aggregation=MEAN_OF_SESSIONS).results
+            part = session if aggregation == MEAN_OF_SESSIONS else None
+            ratings.setdefault(group, {}).setdefault(part, []).append(rating)
+        counts = _counts([_obs(*row) for row in rows], aggregation)
+        results = iei_by_group(counts, grouping=grouping)
         assert [key for key, _ in results] == sorted(ratings)
         for key, entry in results:
             parts = list(ratings[key].values())
@@ -231,11 +232,10 @@ class TestMeanOfSessionsRegrouping:
             assert entry.value == sum(values) / len(values)
             assert entry.n_ratings == sum(map(len, parts))
 
-    @given(rows=session_rows, grouping=groupings,
-           aggregation=st.sampled_from([POOLED, MEAN_OF_SESSIONS]))
+    @given(rows=session_rows, grouping=groupings, aggregation=aggregations)
     def test_counts_are_left_as_they_were(self, rows, grouping, aggregation):
         counts = _counts([_obs(*row) for row in rows], aggregation)
         before = copy.deepcopy(counts)
-        first = iei_by_group(counts, grouping=grouping, aggregation=aggregation)
+        first = iei_by_group(counts, grouping=grouping)
         assert counts == before and list(counts.sessions) == list(before.sessions)
-        assert iei_by_group(counts, grouping=grouping, aggregation=aggregation) == first
+        assert iei_by_group(counts, grouping=grouping) == first

@@ -22,7 +22,7 @@ PUBLIC_NAMES = [
     "ZeroTrials", "Dataset", "DiscreteDistribution", "Rejection", "ResponseSpace",
     "STRICT", "SKIP_INVALID", "SessionCounts", "SessionObservation",
     "ValidationResult", "build_distribution", "five_point", "validate_dataset",
-    "EntropyBits", "GroupedEntropy", "MEAN_OF_SESSIONS", "PER_CATEGORY",
+    "EntropyBits", "MEAN_OF_SESSIONS", "PER_CATEGORY",
     "PER_CATEGORY_PER_PERIOD", "POOLED", "iei", "iei_by_group", "iei_of_ratings",
     "DriftDirection", "TdcFit", "UsabilitySeries", "classify_drift", "fit_tdc",
     "series_from_dataset", "BetaParams", "BucsResult", "CredibleInterval",

@@ -24,7 +24,7 @@ from adux.bayes import (
     TrialSummary,
 )
 from adux.drift import TdcFit, UsabilitySeries
-from adux.entropy import EntropyBits, GroupedEntropy
+from adux.entropy import EntropyBits
 from adux.model import (
     Dataset,
     DiscreteDistribution,
@@ -66,7 +66,6 @@ def _records() -> dict[str, object]:
                                "rating code 9 not in response space (1, 2, 3)"),
         "ValidationResult": ValidationResult(Dataset(space, ())),
         "EntropyBits": bits,
-        "GroupedEntropy": GroupedEntropy((("chat", bits), (("chat", 1), EntropyBits(0.0)))),
         "UsabilitySeries": series,
         "TdcFit": TdcFit(3.0, 0.05, 0.01, (0.03, 0.07), 0.2, 0.5, 5),
         "BetaParams": post,
@@ -96,7 +95,7 @@ DATACLASS_REPRS = {
     ),
     'SessionCounts': (
         'SessionCounts(space=ResponseSpace(min_code=1, max_code=3), '
-        "per_session=False, rows=1, levels={('chat', 0): [0, 1, 0]}, "
+        "aggregation='pooled', rows=1, levels={('chat', 0): [0, 1, 0]}, "
         "trials={'chat': [1, 1]}, sessions={})"
     ),
     'Dataset': (
@@ -114,11 +113,6 @@ DATACLASS_REPRS = {
     ),
     'EntropyBits': (
         'EntropyBits(value=1.5, normalized=0.9463946303571863, n_ratings=4)'
-    ),
-    'GroupedEntropy': (
-        "GroupedEntropy(results=(('chat', EntropyBits(value=1.5, "
-        "normalized=0.9463946303571863, n_ratings=4)), (('chat', 1), "
-        'EntropyBits(value=0.0, normalized=None, n_ratings=None))))'
     ),
     'UsabilitySeries': (
         'UsabilitySeries(points=((0, 2.5), (1, 3.0)))'
@@ -151,8 +145,7 @@ DATACLASS_REPRS = {
         'sessions_per_period=10, seed=7)'
     ),
     'EvalConfig': (
-        'EvalConfig(prior=BetaParams(alpha=1.0, beta=1.0), mass=0.95, '
-        "aggregation='pooled')"
+        'EvalConfig(prior=BetaParams(alpha=1.0, beta=1.0), mass=0.95)'
     ),
     'CategoryResult': (
         "CategoryResult(name='chat', iei=EntropyBits(value=1.5, "
@@ -278,7 +271,7 @@ def test_defaults():
     (lambda: SessionCounts(), "SessionCounts() got bad arguments: missing 'space'"),
     (lambda: ResponseSpace(1, 2, 3),
      "ResponseSpace() got bad arguments: 3 positional arguments for 2 fields"),
-    (lambda: SessionCounts(ResponseSpace(1, 2), False, 0, {}, {}, {}, 7),
+    (lambda: SessionCounts(ResponseSpace(1, 2), "pooled", 0, {}, {}, {}, 7),
      "SessionCounts() got bad arguments: 7 positional arguments for 6 fields"),
     (lambda: ResponseSpace(1, 2, lo=3), "ResponseSpace() got bad arguments: unexpected 'lo'"),
     (lambda: ResponseSpace(min_code=1, lo=2),

@@ -224,12 +224,11 @@ class TestEvaluate:
     def test_metrics_equal_direct_module_calls(self):
         ds = _five_period_dataset()
         counts = ds.counts(MEAN_OF_SESSIONS)
-        config = EvalConfig(prior=BetaParams(2, 2), mass=0.9,
-                            aggregation=MEAN_OF_SESSIONS)
+        config = EvalConfig(prior=BetaParams(2, 2), mass=0.9)
         report = evaluate(counts, config)
         by_name = {c.name: c for c in report.categories}
 
-        grouped = dict(iei_by_group(counts, aggregation=MEAN_OF_SESSIONS).results)
+        grouped = dict(iei_by_group(counts))
         assert by_name["chat"].iei == grouped["chat"]
 
         fit = fit_tdc(series_from_dataset(counts, "chat"))

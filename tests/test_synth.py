@@ -80,7 +80,7 @@ class TestGenRatings:
         dist = DiscreteDistribution(five_point(), (0.0, 0.0, 1.0, 0.0, 0.0))
         ds = gen_ratings(_spec(true_distribution=dist))
         assert {o.rating for o in ds.observations} == {3}
-        [(_, entry)] = iei_by_group(ds.counts()).results
+        [(_, entry)] = iei_by_group(ds.counts())
         assert entry.value == 0.0
 
     def test_same_seed_is_byte_identical(self):
@@ -93,7 +93,7 @@ class TestGenRatings:
 
     def test_uniform_recovers_max_entropy(self):
         ds = gen_ratings(_spec(periods=10, sessions_per_period=1000, seed=5))
-        [(_, entry)] = iei_by_group(ds.counts()).results
+        [(_, entry)] = iei_by_group(ds.counts())
         assert entry.value == pytest.approx(math.log2(5), abs=0.05)
 
     def test_completion_extremes(self):

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from adux import ingest
 from adux.cli import main
-from adux.entropy import MEAN_OF_SESSIONS, POOLED, iei_by_group
+from adux.entropy import MEAN_OF_SESSIONS, POOLED
 from adux.errors import AduxError
 from adux.ingest import _FIELDS, _csv_records, load_sessions, tally_sessions
 from adux.model import (
@@ -32,7 +32,7 @@ from adux.model import (
     SessionObservation,
     five_point,
 )
-from adux.report import EvalConfig, emit_report, emit_sessions, evaluate
+from adux.report import emit_report, emit_sessions, evaluate
 
 ABSENT = object()  # a JSON key left out, not set to null
 
@@ -102,6 +102,9 @@ def jsonl_logs(draw):
 
 logs = st.one_of(csv_logs(), jsonl_logs())
 aggregations = st.sampled_from([POOLED, MEAN_OF_SESSIONS])
+# The config digest of the default prior and mass on the 1..5 scale under
+# each aggregation, as `adux report` prints them in tests/test_output_bytes.py.
+DIGEST = {POOLED: "54fa2b16c8d2", MEAN_OF_SESSIONS: "c7bb5e490563"}
 
 
 def _same_counts(a: SessionCounts, b: SessionCounts) -> bool:
@@ -152,13 +155,15 @@ class TestTallyMatchesLoad:
         counts, rejections = tally_sessions(io.StringIO(text), fmt=fmt,
                                             strictness=SKIP_INVALID,
                                             aggregation=aggregation)
-        config = EvalConfig(aggregation=aggregation)
-        from_rows = _outcome(lambda: evaluate(loaded.dataset.counts(aggregation), config,
-                                              len(loaded.rejections)))
-        from_counts = _outcome(lambda: evaluate(counts, config, len(rejections)))
+        from_rows = _outcome(lambda: evaluate(loaded.dataset.counts(aggregation),
+                                              n_rejected=len(loaded.rejections)))
+        from_counts = _outcome(lambda: evaluate(counts, n_rejected=len(rejections)))
         if isinstance(from_rows, tuple):
             assert from_counts == from_rows
             return
+        # The counts carry the aggregation into the report's meta and digest.
+        assert from_counts.meta.aggregation == aggregation
+        assert from_counts.meta.config_digest == DIGEST[aggregation]
         for report_format in ("json", "csv"):
             assert emit_report(from_counts, report_format, no_meta=True) == emit_report(
                 from_rows, report_format, no_meta=True)
@@ -183,16 +188,16 @@ class TestTallyMatchesLoad:
 
 
 class TestSessionCounts:
-    def _dataset(self, ratings):
-        return Dataset(five_point(), tuple(
-            SessionObservation(f"s{i % 3}", "ab"[i % 2], i % 4, r, (None, True, False)[i % 3])
-            for i, r in enumerate(ratings)
-        ))
-
-    def test_mean_of_sessions_needs_per_session_counts(self):
-        counts = self._dataset([1, 2, 3]).counts(POOLED)
-        with pytest.raises(ValueError, match="per session"):
-            iei_by_group(counts, aggregation=MEAN_OF_SESSIONS)
+    @pytest.mark.parametrize("make", [
+        lambda: SessionCounts(five_point(), "mean_of_sessions"),
+        lambda: tally_sessions(io.StringIO("session_id,category,period,rating\n"),
+                               aggregation="mean_of_sessions"),
+        lambda: Dataset(five_point(), ()).counts("mean_of_sessions"),
+    ])
+    def test_a_misspelt_aggregation_is_refused(self, make):
+        with pytest.raises(ValueError, match="^aggregation must be 'pooled' or "
+                                             "'mean-of-sessions', got 'mean_of_sessions'$"):
+            make()
 
 
 DAYS = ["2024-02-29", "2024-03-01", "2024-03-02"]
@@ -407,7 +412,6 @@ class TestDistinctLineCount:
         expected = _outcome(load)
         with monkeypatch.context() as patch:
             patch.setattr(ingest, "_CHUNK_CHARS", chunk)
-            patch.setattr(ingest, "_STEP_LINES", 1)
             got = _outcome(lambda: tally_sessions(open_log(), strictness=strictness,
                                                   aggregation=aggregation))
         if isinstance(expected[0], SessionCounts):
@@ -428,7 +432,6 @@ class TestDistinctLineCount:
         text, lines, _ = log
         with monkeypatch.context() as patch:
             patch.setattr(ingest, "_CHUNK_CHARS", chunk)
-            patch.setattr(ingest, "_STEP_LINES", 1)
             spy = _Spy(patch)
             counts, _ = tally_sessions(io.StringIO(text), aggregation=aggregation)
         distinct = set(text.splitlines()[1:])
@@ -446,7 +449,6 @@ class TestDistinctLineCount:
             f"s{i % 3},chat,{i % 4},{1 + i % 5},2024-03-01T10:{i // 60:02d}:{i % 60:02d}Z\n"
             for i in range(120) for _ in range(repeats))
         monkeypatch.setattr(ingest, "_CHUNK_CHARS", 200)
-        monkeypatch.setattr(ingest, "_STEP_LINES", 1)
         monkeypatch.setattr(ingest, "_MAX_KEYS", 16)
         spy = _Spy(monkeypatch)
         counts, _ = tally_sessions(io.StringIO(text))
@@ -478,8 +480,8 @@ class TestDistinctLineCount:
                               st.sampled_from([True, False, None]), st.integers(1, 4)),
                     max_size=12), aggregations)
     def test_a_weighted_add_is_that_many_adds(self, rows, aggregation):
-        weighted = SessionCounts.for_aggregation(five_point(), aggregation)
-        repeated = SessionCounts.for_aggregation(five_point(), aggregation)
+        weighted = SessionCounts(five_point(), aggregation)
+        repeated = SessionCounts(five_point(), aggregation)
         for category, period, rating, task, n in rows:
             weighted.add("s", category, period, rating, task, n)
             for _ in range(n):
