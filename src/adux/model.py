@@ -181,7 +181,6 @@ class SessionCounts:
         if self.aggregation not in (POOLED, MEAN_OF_SESSIONS):
             raise ValueError(f"aggregation must be {POOLED!r} or {MEAN_OF_SESSIONS!r}, "
                              f"got {self.aggregation!r}")
-        self._by_session = self.aggregation == MEAN_OF_SESSIONS
         self._index = {code: i for i, code in enumerate(self.space.codes)}
 
     def add(
@@ -212,7 +211,7 @@ class SessionCounts:
             if task_completed:
                 outcomes[0] += n
             outcomes[1] += n
-        if self._by_session:
+        if self.aggregation == MEAN_OF_SESSIONS:
             session_key = (category, period, session_id)
             counts = self.sessions.get(session_key)
             if counts is None:

@@ -166,18 +166,20 @@ def open_output(destination: str | Path | IO[str]) -> Iterator[IO[str]]:
         yield destination
         return
     given = Path(destination)
-    path = Path(os.path.realpath(given))
     try:
         try:
-            mode = os.stat(path).st_mode
+            mode = os.stat(given).st_mode  # follows links, /dev/stdout's too
         except FileNotFoundError:  # a new regular file, as the umask makes it
             umask = os.umask(0)
             os.umask(umask)
             mode = stat.S_IFREG | (0o666 & ~umask)
         if not stat.S_ISREG(mode):
-            with open(path, "w", encoding="utf-8") as handle:
+            with open(given, "w", encoding="utf-8") as handle:
                 yield handle
             return
+        # Resolved only for a regular or missing file: a link to a pipe,
+        # such as /dev/stdout, resolves to a name that does not exist.
+        path = Path(os.path.realpath(given))
         fd, tmp_name = tempfile.mkstemp(
             dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
         )

@@ -325,6 +325,15 @@ class TestOutFile:
         assert stat.S_IMODE(os.stat(target).st_mode) == (0o644 if dangling else 0o604)
         assert sorted(os.listdir(target.parent)) == ["bucs.json"]
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+    def test_dev_stdout_on_a_pipe_is_written_in_place(self):
+        # /dev/stdout links to the pipe's fd, whose link names no real path:
+        # the text goes to the pipe, not to a temp file beside that name.
+        proc = subprocess.run([*ADUX, *BUCS_OUT, "/dev/stdout"], env=_adux_env(False),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert json.loads(proc.stdout)["posterior"] == {"alpha": 8, "beta": 4}
+
     def test_an_unwritable_symlink_target_names_the_link(self, tmp_path, capsys):
         link = tmp_path / "link.json"
         link.symlink_to(tmp_path / "missing-dir" / "bucs.json")
