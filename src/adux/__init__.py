@@ -29,7 +29,7 @@ from .version import __version__
 _EXPORTS = {
     "errors": (
         "AduxError", "DegenerateTime", "EmptyDataset", "EmptyInput",
-        "InsufficientData", "InvalidMass", "IoFailure", "MalformedRow",
+        "ImpreciseShapes", "InsufficientData", "InvalidMass", "IoFailure", "MalformedRow",
         "MissingInput", "NegativePeriod", "UnknownCategory", "UnknownFormat",
         "UnknownRating", "ZeroTrials",
     ),

@@ -3,28 +3,25 @@
 Every ``adux`` command is a fresh process, so import time is paid on each
 call. ``dataclasses`` writes each generated method as Python source and
 compiles it at run time, which no bytecode cache can save: about six
-compiles per class, 123 for adux's 21 record types, plus the import of
+compiles per class, for each of adux's 19 record types, plus the import of
 ``inspect`` (and with it ``ast``, ``dis`` and ``tokenize``). Measured with
 Python 3.11.7 on a 2-vCPU shared VM, medians of 15-21 fresh interpreters:
 with bytecode caches, ``import adux`` took 32.3 ms with ``dataclasses`` and
 7.2 ms with this module, and ``python -c "import adux, adux.cli"`` 73.8
 and 51.9 ms; without caches, the latter took 91.1 and 72.2 ms.
 
-:func:`record` builds the same methods from closures over the field names,
-reading no source and compiling nothing. It supports what adux's records
-use, and no more:
+:func:`record` builds the methods of a frozen dataclass from closures over
+the field names, reading no source and compiling nothing. Every record is
+an immutable value; it supports what adux's records use, and no more:
 
 - ``__init__`` taking fields by position or keyword, with defaults from the
-  class body or a per-instance ``default_factory`` given by :func:`field`,
-  then calling ``__post_init__`` when the class has one, looked up on the
-  instance at each call. A missing, unknown or repeated argument is a
-  ``TypeError`` that names it;
+  class body, then calling ``__post_init__`` when the class has one, looked
+  up on the instance at each call. A missing, unknown or repeated argument
+  is a ``TypeError`` that names it;
 - ``__repr__`` printing what the ``dataclasses`` one prints;
-- ``__eq__`` over the fields' tuple for objects of the same class, and for
-  frozen records ``__hash__`` of that tuple (mutable ones are unhashable);
-- with ``frozen=True``, ``__setattr__`` and ``__delattr__`` raising
-  :class:`FrozenInstanceError`;
-- :func:`replace`.
+- ``__eq__`` over the fields' tuple for objects of the same class, and
+  ``__hash__`` of that tuple;
+- ``__setattr__`` and ``__delattr__`` raising :class:`FrozenInstanceError`.
 
 The field names are kept in ``__match_args__``, as ``dataclasses`` does,
 so records also work in ``match`` class patterns. ``dataclasses.fields``,
@@ -34,33 +31,13 @@ so records also work in ``match`` class patterns. ``dataclasses.fields``,
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Any, Callable, TypeVar
+from typing import Any, TypeVar
 
 _T = TypeVar("_T")
-_MISSING: Any = object()
 
 
 class FrozenInstanceError(AttributeError):
     """Assignment to, or deletion of, an attribute of a frozen record."""
-
-
-class _Field:
-    __slots__ = ("default_factory",)
-
-    def __init__(self, default_factory: Callable[[], Any]) -> None:
-        self.default_factory = default_factory
-
-
-def field(*, default_factory: Callable[[], Any]) -> Any:
-    """A field whose default ``default_factory`` makes for each instance."""
-    return _Field(default_factory)
-
-
-def replace(obj: _T, **changes: Any) -> _T:
-    """A new record like ``obj`` with ``changes`` applied, built (and
-    checked) by the class's ``__init__``."""
-    values = {name: getattr(obj, name) for name in obj.__match_args__}
-    return obj.__class__(**{**values, **changes})
 
 
 def _arguments_error(cls: type, names: tuple[str, ...], required: int,
@@ -80,33 +57,16 @@ def _arguments_error(cls: type, names: tuple[str, ...], required: int,
     return TypeError(f"{cls.__qualname__}() got bad arguments: {'; '.join(problems)}")
 
 
-def record(cls: type[_T] | None = None, /, *, frozen: bool = False) -> Any:
-    """Class decorator: give ``cls`` the methods of a dataclass over its
-    annotated fields, in their order. Fields with a default come after
-    those without one."""
-
-    def build(cls: type[_T]) -> type[_T]:
-        _install(cls, frozen)
-        return cls
-
-    return build if cls is None else build(cls)
-
-
-def _install(cls: type, frozen: bool) -> None:
+def record(cls: type[_T]) -> type[_T]:
+    """Class decorator: make ``cls`` a frozen value type with the methods
+    of a frozen dataclass over its annotated fields, in their order. Fields
+    with a default come after those without one."""
     names = tuple(cls.__annotations__)
-    defaults: dict[str, Any] = {}
-    factories: list[tuple[str, Callable[[], Any]]] = []
-    for name in names:
-        value = cls.__dict__.get(name, _MISSING)
-        if isinstance(value, _Field):
-            delattr(cls, name)
-            factories.append((name, value.default_factory))
-            continue
-        if value is not _MISSING:
-            defaults[name] = value
-        elif defaults or factories:
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    required = len(names) - len(defaults)
+    for name in names[required:]:
+        if name not in defaults:
             raise TypeError(f"non-default field {name!r} follows a default one")
-    required = len(names) - len(defaults) - len(factories)
     count = len(names)
     fieldset = frozenset(names)
     post_init = hasattr(cls, "__post_init__")
@@ -127,13 +87,8 @@ def _install(cls: type, frozen: bool) -> None:
                 kwargs[names[i]] = value
                 i += 1
         d = self.__dict__
-        if defaults:
-            d.update(defaults)
+        d.update(defaults)
         d.update(kwargs)
-        if factories:
-            for name, make in factories:
-                if name not in d:
-                    d[name] = make()
         if d.keys() != fieldset:
             raise _arguments_error(cls, names, required, (), kwargs)
         if post_init:
@@ -150,22 +105,17 @@ def _install(cls: type, frozen: bool) -> None:
             return values(self) == values(other)
         return NotImplemented
 
-    methods: dict[str, Any] = {"__init__": __init__, "__repr__": __repr__, "__eq__": __eq__}
-    if frozen:
-        def __hash__(self: Any) -> int:
-            return hash(values(self))
+    def __hash__(self: Any) -> int:
+        return hash(values(self))
 
-        def __setattr__(self: Any, name: str, value: Any) -> None:
-            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+    def __setattr__(self: Any, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
-        def __delattr__(self: Any, name: str) -> None:
-            raise FrozenInstanceError(f"cannot delete field {name!r}")
+    def __delattr__(self: Any, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-        methods.update(__hash__=__hash__, __setattr__=__setattr__, __delattr__=__delattr__)
-    else:
-        methods["__hash__"] = None
-    for attr, method in methods.items():
-        if method is not None:
-            method.__qualname__ = f"{cls.__qualname__}.{attr}"
-        setattr(cls, attr, method)
+    for method in (__init__, __repr__, __eq__, __hash__, __setattr__, __delattr__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
     cls.__match_args__ = names
+    return cls

@@ -22,7 +22,7 @@ import math
 from enum import Enum
 from collections.abc import Iterable
 
-from ._record import record, replace
+from ._record import record
 from .errors import InvalidMass, ZeroTrials
 from .special import (
     beta_pdf,
@@ -43,7 +43,7 @@ _Z_95 = 1.959964
 _LEVEL_RTOL = 1e-8
 
 
-@record(frozen=True)
+@record
 class BetaParams:
     """Shape parameters of a Beta distribution; both positive and finite,
     and so is their sum."""
@@ -74,7 +74,7 @@ class BetaParams:
         return beta_pdf(self.alpha, self.beta, x)
 
 
-@record(frozen=True)
+@record
 class TrialSummary:
     """Completion counts: ``completions`` successes out of ``trials``."""
 
@@ -97,7 +97,7 @@ class IntervalKind(Enum):
     ONE_SIDED_UPPER = "one-sided-upper"
 
 
-@record(frozen=True)
+@record
 class CredibleInterval:
     """[lower, upper] holding ``mass`` probability; ``unique`` is False when
     the interval was a convention pick among equally valid ones."""
@@ -155,6 +155,12 @@ def _check_mass(mass: float) -> None:
         raise InvalidMass(f"interval mass must lie in (0, 1), got {mass}")
 
 
+def _two_sided_z(mass: float) -> float:
+    """The normal quantile at (1 + mass) / 2, or at the exact lower tail where that rounds to 1."""
+    upper = 0.5 + 0.5 * mass
+    return normal_quantile(upper) if upper < 1.0 else -normal_quantile(0.5 * (1.0 - mass))
+
+
 def equal_tailed_interval(params: BetaParams, mass: float = 0.95) -> CredibleInterval:
     """Central interval leaving (1 - mass)/2 probability in each tail."""
     _check_mass(mass)
@@ -204,7 +210,7 @@ def _hdi_interior(a: float, b: float, mass: float) -> tuple[float, float]:
     m_mirror = (b - 1.0) / (a + b - 2.0)
     log_peak = (a - 1.0) * math.log(m) + (b - 1.0) * math.log(m_mirror) - log_beta(a, b)
     # Normal approximation for the start: endpoints mode -/+ z sd, level -z^2/2.
-    z = normal_quantile(0.5 + 0.5 * mass)
+    z = _two_sided_z(mass)
     sd = math.sqrt(a * b / (a + b + 1.0)) / (a + b)
     ends = [max(m - z * sd, 0.5 * m), max(m_mirror - z * sd, 0.5 * m_mirror)]
 
@@ -257,10 +263,11 @@ def hdi(params: BetaParams, mass: float = 0.95) -> CredibleInterval:
         )
     # Flat or U-shaped: every (or no) interval qualifies; pick the central
     # one so callers still get a number, and flag the convention.
-    return replace(equal_tailed_interval(params, mass), unique=False)
+    central = equal_tailed_interval(params, mass)
+    return CredibleInterval(central.lower, central.upper, mass, central.kind, unique=False)
 
 
-@record(frozen=True)
+@record
 class BucsResult:
     """Posterior parameters, credible interval, and point summaries."""
 
@@ -294,7 +301,7 @@ def wald_ci(trials: TrialSummary, level: float = 0.95) -> CredibleInterval:
     if trials.trials < 1:
         raise ZeroTrials("Wald interval needs at least one trial")
     p_hat = trials.completions / trials.trials
-    z = _Z_95 if level == 0.95 else normal_quantile((1.0 + level) / 2.0)
+    z = _Z_95 if level == 0.95 else _two_sided_z(level)
     half = z * math.sqrt(p_hat * (1.0 - p_hat) / trials.trials)
     return CredibleInterval(
         lower=max(0.0, p_hat - half),

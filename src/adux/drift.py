@@ -19,7 +19,7 @@ from .special import student_t_quantile
 MIN_POINTS = 5
 
 
-@record(frozen=True)
+@record
 class UsabilitySeries:
     """Ordered (period, mean usability) points; periods strictly increasing."""
 
@@ -36,7 +36,7 @@ class UsabilitySeries:
         return len(self.points)
 
 
-@record(frozen=True)
+@record
 class TdcFit:
     """OLS fit of usability on time: intercept, slope, and inference stats."""
 

@@ -37,7 +37,7 @@ PER_CATEGORY_PER_PERIOD = "per-category-per-period"
 GroupKey = str | tuple[str, int]
 
 
-@record(frozen=True)
+@record
 class EntropyBits:
     """Entropy value in bits, its normalized form, and the sample size.
 

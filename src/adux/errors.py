@@ -48,6 +48,10 @@ class InvalidMass(AduxError):
     """A credible mass outside the open interval (0, 1)."""
 
 
+class ImpreciseShapes(AduxError):
+    """Beta shapes so large, or so far apart, that log B(a, b) loses its precision."""
+
+
 class ZeroTrials(AduxError):
     """A trial summary with no trials cannot yield a frequentist interval."""
 

@@ -22,7 +22,7 @@ from collections.abc import Hashable, Iterable, Mapping, Sequence
 from operator import add
 from typing import Any, TypeVar
 
-from ._record import field, record
+from ._record import record
 from .errors import (
     AduxError,
     EmptyInput,
@@ -42,7 +42,7 @@ STRICT = "strict"
 SKIP_INVALID = "skip-invalid"
 
 
-@record(frozen=True)
+@record
 class ResponseSpace:
     """The admissible ratings: the integers ``min_code`` to ``max_code``
     inclusive, in order.
@@ -89,7 +89,7 @@ def five_point() -> ResponseSpace:
     return ResponseSpace.from_range(1, 5)
 
 
-@record(frozen=True)
+@record
 class DiscreteDistribution:
     """Probability vector over a response space.
 
@@ -118,7 +118,7 @@ class DiscreteDistribution:
             raise ValueError("n_obs must be positive when given")
 
 
-@record(frozen=True)
+@record
 class SessionObservation:
     """One logged interaction row.
 
@@ -155,7 +155,6 @@ def sum_counts(pairs: Iterable[tuple[_K, Sequence[int]]]) -> dict[_K, Sequence[i
     return total
 
 
-@record
 class SessionCounts:
     """Sufficient statistics of a session log, filled one row at a time.
 
@@ -170,18 +169,27 @@ class SessionCounts:
     entropies is summed in. ``len()`` is the number of rows counted.
     """
 
-    space: ResponseSpace
-    aggregation: str = POOLED
-    rows: int = 0
-    levels: dict[tuple[str, int], list[int]] = field(default_factory=dict)
-    trials: dict[str, list[int]] = field(default_factory=dict)
-    sessions: dict[tuple[str, int, str], list[int]] = field(default_factory=dict)
+    __hash__ = None  # mutable, so unhashable
 
-    def __post_init__(self) -> None:
-        if self.aggregation not in (POOLED, MEAN_OF_SESSIONS):
+    def __init__(self, space: ResponseSpace, aggregation: str = POOLED) -> None:
+        if aggregation not in (POOLED, MEAN_OF_SESSIONS):
             raise ValueError(f"aggregation must be {POOLED!r} or {MEAN_OF_SESSIONS!r}, "
-                             f"got {self.aggregation!r}")
-        self._index = {code: i for i, code in enumerate(self.space.codes)}
+                             f"got {aggregation!r}")
+        self.space = space
+        self.aggregation = aggregation
+        self.rows = 0
+        self.levels: dict[tuple[str, int], list[int]] = {}
+        self.trials: dict[str, list[int]] = {}
+        self.sessions: dict[tuple[str, int, str], list[int]] = {}
+        self._index = {code: i for i, code in enumerate(space.codes)}
+
+    def __repr__(self) -> str:
+        return (f"SessionCounts(space={self.space!r}, aggregation={self.aggregation!r}, "
+                f"rows={self.rows!r}, levels={self.levels!r}, trials={self.trials!r}, "
+                f"sessions={self.sessions!r})")
+
+    def __eq__(self, other: object) -> Any:  # the six fields; _index follows from space
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
 
     def add(
         self,
@@ -227,7 +235,7 @@ class SessionCounts:
         return tuple(sorted({category for category, _ in self.levels}))
 
 
-@record(frozen=True)
+@record
 class Dataset:
     """A response space plus the observations recorded against it."""
 
@@ -255,7 +263,7 @@ class Dataset:
         return len(self.observations)
 
 
-@record(frozen=True)
+@record
 class Rejection:
     """One dropped or refused input row."""
 
@@ -264,7 +272,7 @@ class Rejection:
     detail: str
 
 
-@record(frozen=True)
+@record
 class ValidationResult:
     """Validated dataset plus the log of rejected rows."""
 
@@ -338,7 +346,7 @@ def _parse_fields(
 ) -> tuple[int, int, bool | None] | AduxError:
     """Parsed (period, rating, task_completed), or the error of the first
     check that fails: missing rating, missing period, each field's parse,
-    negative period, rating outside the space."""
+    negative period, period above 2**53, rating outside the space."""
     if rating is None or rating == "":
         return MalformedRow("missing rating")
     if period is None or period == "":
@@ -351,6 +359,8 @@ def _parse_fields(
         return MalformedRow(str(exc))
     if period < 0:
         return NegativePeriod(f"period must be >= 0, got {period}")
+    if period > 2**53:  # past it a float, which TDC regresses on, skips integers
+        return MalformedRow(f"period must be <= 2**53, got {period}")
     if rating not in space:
         return UnknownRating(f"rating code {rating} not in response space {space.codes}")
     return period, rating, task

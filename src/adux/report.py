@@ -80,7 +80,7 @@ def emit_sessions(
 # evaluation
 
 
-@record(frozen=True)
+@record
 class EvalConfig:
     """Evaluation options applied uniformly across categories. The IEI
     aggregation is not one of them: the counts carry it."""
@@ -103,7 +103,7 @@ class EvalConfig:
         return sha256(payload.encode("utf-8")).hexdigest()[:12]
 
 
-@record(frozen=True)
+@record
 class CategoryResult:
     """All three metrics for one category; unavailable ones carry a reason."""
 
@@ -117,7 +117,7 @@ class CategoryResult:
     trials: TrialSummary | None
 
 
-@record(frozen=True)
+@record
 class ReportMeta:
     rows: int
     rejected: int
@@ -129,7 +129,7 @@ class ReportMeta:
     generated_at: str
 
 
-@record(frozen=True)
+@record
 class AduxReport:
     scale: ResponseSpace
     categories: tuple[CategoryResult, ...]
@@ -289,7 +289,7 @@ def emit_report(
 # plot data
 
 
-@record(frozen=True)
+@record
 class Fig3Spec:
     """Interval-width experiment: fixed completion share across sample sizes."""
 

@@ -27,6 +27,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+from .errors import ImpreciseShapes
+
 # Lanczos coefficients for g = 7 (Godfrey's tabulation).
 _LANCZOS_G = 7.0
 _LANCZOS_COEF = (
@@ -48,6 +50,9 @@ _CF_TINY = 1e-300
 _NEWTON_RTOL = 1e-12
 _NEWTON_MAX_ITER = 100
 _SMALLEST = math.ulp(0.0)
+_SMALLEST_NORMAL = 2.0 ** -1022
+# The largest error bound of log B: 1.5e-5 at Beta(1e9, 1e9) passes, 1.2e-4 at 1e10 not.
+_LOG_BETA_MAX_ERROR = 1e-4
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
@@ -55,6 +60,8 @@ def log_gamma(x: float) -> float:
     """Natural log of the gamma function for x > 0."""
     if x <= 0.0:
         raise ValueError(f"log_gamma requires x > 0, got {x}")
+    if x < _SMALLEST_NORMAL:  # pi / sin(pi x) overflows; -ln x is exact here
+        return -math.log(x)
     if x < 0.5:
         # Reflection keeps the Lanczos series in its accurate range.
         return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
@@ -76,8 +83,21 @@ def log_beta(a: float, b: float) -> float:
     without the cache; ``typed=True`` keeps an int, a float and a numpy
     scalar apart, so each gets the result type of its own arithmetic. An
     error is not cached: ``log_beta(0, 1)`` raises on every call.
+
+    Each log-gamma errs by about an ulp of its size. Where a + b rounds to
+    the larger shape, two cancel exactly and drop about min(a, b) ln max(a, b).
+    An error bound above ``_LOG_BETA_MAX_ERROR`` raises ImpreciseShapes.
     """
-    return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
+    la, lb, lab = log_gamma(a), log_gamma(b), log_gamma(a + b)
+    if a + b == max(a, b):  # the larger shape's log-gamma and lab are one float
+        small, value = (a, la) if a <= b else (b, lb)
+        error = math.ulp(value) + small * max(math.log(a + b), 0.0)
+    else:
+        value = la + lb - lab
+        error = math.ulp(abs(la) + abs(lb) + abs(lab))
+    if not error <= _LOG_BETA_MAX_ERROR:
+        raise ImpreciseShapes(f"Beta({a}, {b}) is past the precision of log B (error {error:.2g})")
+    return value
 
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
@@ -220,8 +240,8 @@ def _beta_inverse_start(a: float, b: float, p: float) -> float:
     # With a tiny a or b, a law can put its root past the far end; the
     # exponent is capped at 0, so the root stays in [0, 1].
     log_b = log_beta(a, b)
-    lower_root = math.exp(min(0.0, (math.log(a * p) + log_b) / a))
-    upper_root = -math.expm1(min(0.0, (math.log(b * (1.0 - p)) + log_b) / b))
+    lower_root = math.exp(min(0.0, (_log_product(a, p) + log_b) / a))
+    upper_root = -math.expm1(min(0.0, (_log_product(b, 1.0 - p) + log_b) / b))
     if a >= 1.0 and b >= 1.0:
         y = -_normal_quantile_start(p)
         lam = (y * y - 3.0) / 6.0
@@ -234,10 +254,16 @@ def _beta_inverse_start(a: float, b: float, p: float) -> float:
         # two tail roots, and so does the start.
         x = a / (a + b * math.exp(min(2.0 * w, 700.0)))
         return min(max(x, lower_root), upper_root)
-    # The tail whose law holds more mass at the mean is taken to hold p.
-    lower = math.exp(a * math.log(a / (a + b))) / a
-    upper = math.exp(b * math.log(b / (a + b))) / b
-    return lower_root if p < lower / (lower + upper) else upper_root
+    # The tail whose law holds more mass at the mean (compared in logs) is taken to hold p.
+    log_total = math.log(a + b)
+    log_lower, log_upper = (s * (math.log(s) - log_total) - math.log(s) for s in (a, b))
+    return lower_root if math.log(p) + log_upper < math.log1p(-p) + log_lower else upper_root
+
+
+def _log_product(u: float, v: float) -> float:
+    """log(u v), from the two logs where the product is subnormal."""
+    w = u * v
+    return math.log(w) if w >= _SMALLEST_NORMAL else math.log(u) + math.log(v)
 
 
 def incomplete_beta_inverse(a: float, b: float, p: float) -> float:

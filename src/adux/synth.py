@@ -33,7 +33,7 @@ from .drift import UsabilitySeries
 from .model import Dataset, DiscreteDistribution, ResponseSpace, SessionObservation, five_point
 
 
-@record(frozen=True)
+@record
 class GeneratorSpec:
     """Ground-truth parameters for one synthetic category.
 

@@ -498,6 +498,99 @@ def test_a_reader_gone_away_is_one_error_line(args, lines_read, err_before, unbu
         2, err_before + "adux: error: cannot write standard output: [Errno 32] Broken pipe\n")
 
 
+def _run_to_the_end(args, log=None):
+    """``adux ARGS`` in a new process, with LOG standing for ``log``: its exit
+    code, stdout and stderr. It must end in a result or in one error line."""
+    proc = subprocess.run([*ADUX, *(str(log) if a == "LOG" else a for a in args)],
+                          env=_adux_env(False), capture_output=True, text=True, timeout=60)
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("adux: error:") == (proc.returncode == 2)
+    assert proc.returncode in (0, 2)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestEdgesOfTheFloatRange:
+    """Inputs at the ends of the float range give an answer, or one error
+    line and exit 2; never a traceback."""
+
+    LARGEST_BELOW_1 = "0.9999999999999999"  # 1 - 2**-53, where (1 + mass) / 2 rounds to 1
+
+    @pytest.mark.parametrize("args", [
+        ["bucs", "--n", "3", "--N", "10"],
+        ["report", "--input", "LOG", "--no-meta"],
+        ["plotdata", "--figure", "fig3", "--p-hat", "0.5"],
+    ], ids=["bucs", "report", "plotdata"])
+    def test_the_largest_mass_below_1(self, args, sessions_csv):
+        code, out, _ = _run_to_the_end([*args, "--mass", self.LARGEST_BELOW_1], sessions_csv)
+        assert code == 0
+        if args[0] == "plotdata":
+            widths = [float(w) for row in out.splitlines()[1:] for w in row.split(",")[1:]]
+            assert widths and all(0.0 < w <= 1.0 for w in widths)
+            return
+        doc = json.loads(out)
+        intervals = [doc["interval"]] if args[0] == "bucs" else [
+            category["bucs"]["interval"] for category in doc["categories"]
+            if "interval" in category["bucs"]]
+        assert intervals and all(0.0 < i["lower"] < i["upper"] <= 1.0 for i in intervals)
+
+    @pytest.mark.parametrize("args, code", [
+        (["bucs", "--n", "50000000000000000000", "--N", "100000000000000000000"], 2),
+        (["plotdata", "--figure", "fig3", "--p-hat", "0.5",
+          "--N-list", "100000000000000000000"], 2),
+        (["bucs", "--n", "0", "--N", "0", "--prior", "1e100,1e100"], 2),
+        (["bucs", "--n", "0", "--N", "0", "--prior", "5e-324,1"], 0),
+        (["bucs", "--n", "0", "--N", "0", "--prior", "1e-300,1e300"], 0),
+    ], ids=["bucs-1e20", "plotdata-1e20", "prior-1e100", "prior-5e-324", "prior-1e-300-1e300"])
+    def test_beta_shapes_at_the_ends(self, args, code):
+        got, out, err = _run_to_the_end(args)
+        assert got == code
+        if code == 2:
+            assert "past the precision of log B" in err
+            return
+        interval = json.loads(out)["interval"]
+        # Both posteriors hold all but a float's worth of mass below 5e-324.
+        assert 0.0 <= interval["lower"] <= interval["upper"] <= 5e-324
+
+
+BIG_PERIOD_ROW = {"session_id": "s9", "category": "chat", "period": int("9" * 400),
+                  "rating": 3, "task_completed": True}
+
+
+def _log_lines(fmt, rows):
+    if fmt == "jsonl":
+        return "".join(json.dumps(row) + "\n" for row in rows)
+    return "session_id,category,period,rating,task_completed\n" + "".join(
+        f"{r['session_id']},{r['category']},{r['period']},{r['rating']},"
+        f"{'' if r['task_completed'] is None else str(r['task_completed']).lower()}\n"
+        for r in rows)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("command", [["tdc"], ["report", "--no-meta"],
+                                     ["plotdata", "--figure", "fig2"]],
+                         ids=["tdc", "report", "plotdata"])
+def test_a_period_beyond_2_53_is_a_malformed_row(fmt, command, tmp_path, capsys):
+    rows = [dict(zip(["session_id", "category", "period", "rating", "task_completed"],
+                     [s, c, int(p), int(r), {"true": True, "false": False}.get(t)]))
+            for s, c, p, r, t in (line.split(",") for line in SESSIONS.splitlines()[1:])
+            if c == "chat"]  # the one category with the five periods TDC needs
+    clean, dirty = tmp_path / f"clean.{fmt}", tmp_path / f"dirty.{fmt}"
+    clean.write_text(_log_lines(fmt, rows))
+    dirty.write_text(_log_lines(fmt, [*rows[:2], BIG_PERIOD_ROW, *rows[2:]]))
+    args = [*command, "--format", fmt, "--input"]
+    number = 3 if fmt == "jsonl" else 4
+    assert main([*args, str(dirty)]) == 2
+    assert capsys.readouterr().err == (
+        f"adux: error: row {number}: period must be <= 2**53, got {'9' * 400}\n")
+    assert main([*args, str(clean)]) == 0
+    expected = capsys.readouterr().out
+    assert main([*args, str(dirty), "--skip-invalid"]) == 0
+    out, err = capsys.readouterr()
+    # The row is dropped: only tdc's count of rejected rows tells the runs apart.
+    assert out == expected.replace('"rejected": 0', '"rejected": 1')
+    assert f"skipped row {number}: period must be <= 2**53" in err
+
+
 class TestUnwritableStderr:
     """With stderr closed, or open where a write fails, every command drops
     its diagnostics and prints the same stdout, with the same exit code, as

@@ -167,6 +167,16 @@ class TestValidateDataset:
         result = validate_dataset([_row(period=-2)], five_point(), SKIP_INVALID)
         assert result.rejections[0].reason == "negative-period"
 
+    def test_periods_past_2_53_are_malformed(self):
+        # Past 2**53 a float no longer holds every integer, and TDC regresses
+        # on float periods.
+        rows = [_row(period=p) for p in (2**53, 2**53 + 1, str(2**53 + 1), 1e300)]
+        result = validate_dataset(rows, five_point(), SKIP_INVALID)
+        assert [o.period for o in result.dataset.observations] == [2**53]
+        assert [(r.row, r.reason) for r in result.rejections] == [
+            (2, "malformed-row"), (3, "malformed-row"), (4, "malformed-row")]
+        assert result.rejections[0].detail == f"period must be <= 2**53, got {2**53 + 1}"
+
     @pytest.mark.parametrize(
         "mutation",
         [

@@ -17,8 +17,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # adux.__all__ as the package printed it when it imported every module up front.
 PUBLIC_NAMES = [
     "__version__", "AduxError", "DegenerateTime", "EmptyDataset", "EmptyInput",
-    "InsufficientData", "InvalidMass", "IoFailure", "MalformedRow", "MissingInput",
-    "NegativePeriod", "UnknownCategory", "UnknownFormat", "UnknownRating",
+    "ImpreciseShapes", "InsufficientData", "InvalidMass", "IoFailure", "MalformedRow",
+    "MissingInput", "NegativePeriod", "UnknownCategory", "UnknownFormat", "UnknownRating",
     "ZeroTrials", "Dataset", "DiscreteDistribution", "Rejection", "ResponseSpace",
     "STRICT", "SKIP_INVALID", "SessionCounts", "SessionObservation",
     "ValidationResult", "build_distribution", "five_point", "validate_dataset",

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import special as sp
 from scipy import stats
 
+from adux.errors import ImpreciseShapes
 from adux.special import (
     beta_pdf,
     incomplete_beta_inverse,
@@ -33,6 +34,11 @@ class TestLogGamma:
     @settings(max_examples=200)
     def test_matches_stdlib_everywhere(self, x):
         assert log_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-11, abs=1e-11)
+
+    @pytest.mark.parametrize("x", [5e-324, 1e-310, 2.0 ** -1022])
+    def test_subnormal_arguments(self, x):
+        # The reflection's pi / sin(pi x) overflows below 2**-1022.
+        assert log_gamma(x) == pytest.approx(math.lgamma(x), rel=1e-15)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -62,6 +68,19 @@ class TestLogBeta:
             assert float(got).hex() == float(want).hex(), (a, b)
         info = log_beta.cache_info()
         assert info.hits > 0 and info.misses > len(args)
+
+    @pytest.mark.parametrize("a, b", [(5e19, 5e19), (1e100, 1e100), (1e10, 1e10),
+                                      (1.0, 1e20), (3.0, 1e300)])
+    def test_shapes_beyond_its_precision_are_refused(self, a, b):
+        with pytest.raises(ImpreciseShapes, match=r"past the precision of log B"):
+            log_beta(a, b)
+
+    @pytest.mark.parametrize("a, b", [(1e-300, 1e300), (5e-324, 1.0), (1.0, 5e-324)])
+    def test_a_tiny_shape_beside_any_other_keeps_its_precision(self, a, b):
+        # a + b rounds to the larger shape, whose two log-gammas cancel
+        # exactly; log B is -ln min(a, b) to double precision. (scipy's
+        # betaln overflows at 5e-324.)
+        assert log_beta(a, b) == pytest.approx(-math.log(min(a, b)), rel=1e-15)
 
     def test_an_error_is_raised_on_every_call(self):
         log_beta.cache_clear()
@@ -101,6 +120,15 @@ class TestIncompleteBeta:
     def test_against_scipy_within_contract(self, a, b, x):
         ours = regularized_incomplete_beta(a, b, x)
         assert ours == pytest.approx(float(sp.betainc(a, b, x)), abs=1e-10)
+
+
+@pytest.mark.parametrize("a, b", [(5e-324, 1.0), (1e-300, 1e300)])
+def test_quantiles_of_mass_held_below_the_smallest_float(a, b):
+    # I_x(a, b) = 1 to float precision from x = 5e-324 on.
+    for x in (5e-324, 1e-310):
+        assert regularized_incomplete_beta(a, b, x) == pytest.approx(1.0, abs=1e-12)
+    for p in (0.025, 0.5, 0.975):
+        assert incomplete_beta_inverse(a, b, p) == 5e-324
 
 
 class TestNewtonRoot:

@@ -25,6 +25,7 @@ from adux.errors import AduxError
 from adux.ingest import _FIELDS, _csv_records, load_sessions, tally_sessions
 from adux.model import (
     Dataset,
+    ResponseSpace,
     RowValidator,
     SKIP_INVALID,
     STRICT,
@@ -198,6 +199,43 @@ class TestSessionCounts:
         with pytest.raises(ValueError, match="^aggregation must be 'pooled' or "
                                              "'mean-of-sessions', got 'mean_of_sessions'$"):
             make()
+
+    def test_mutable_and_unhashable(self):
+        counts = SessionCounts(ResponseSpace(1, 3))
+        with pytest.raises(TypeError, match="unhashable type: 'SessionCounts'"):
+            hash(counts)
+        counts.rows = 4
+        assert len(counts) == 4
+
+    def test_each_gets_its_own_dicts(self):
+        first, second = SessionCounts(ResponseSpace(1, 3)), SessionCounts(ResponseSpace(1, 3))
+        first.add("s1", "chat", 0, 2, True)
+        assert first.levels is not second.levels and first.trials is not second.trials
+        assert first.sessions is not second.sessions
+        assert (second.levels, second.trials, second.sessions) == ({}, {}, {})
+        assert "levels" not in vars(SessionCounts)
+
+    def test_equal_when_every_field_is(self):
+        def counted(space=ResponseSpace(1, 3), aggregation=POOLED, completed=True):
+            counts = SessionCounts(space, aggregation)
+            counts.add("s1", "chat", 0, 2, completed)
+            return counts
+
+        assert counted() == counted() and not counted() != counted()
+        assert counted() != SessionCounts(ResponseSpace(1, 3))
+        assert counted() != counted(space=ResponseSpace(1, 4))
+        assert counted() != counted(aggregation=MEAN_OF_SESSIONS)
+        assert counted() != counted(completed=False)
+        assert counted().__eq__(counted().levels) is NotImplemented
+
+    def test_repr_is_the_dataclass_one(self):
+        counts = SessionCounts(ResponseSpace(1, 3))
+        counts.add("s1", "chat", 0, 2, True)
+        assert repr(counts) == (
+            "SessionCounts(space=ResponseSpace(min_code=1, max_code=3), "
+            "aggregation='pooled', rows=1, levels={('chat', 0): [0, 1, 0]}, "
+            "trials={'chat': [1, 1]}, sessions={})"
+        )
 
 
 DAYS = ["2024-02-29", "2024-03-01", "2024-03-02"]
