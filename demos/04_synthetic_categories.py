@@ -12,7 +12,6 @@ data shows.
 
 from adux import (
     Dataset,
-    EvalConfig,
     category_presets,
     emit_plot_data,
     evaluate,
@@ -27,7 +26,7 @@ merged = Dataset(
 )
 print(f"generated {len(merged)} sessions across {len(specs)} categories")
 
-report = evaluate(merged.counts(), EvalConfig())
+report = evaluate(merged.counts())
 
 print()
 print("fig1 plot data (category, iei_bits, iei_normalized):")

@@ -30,8 +30,7 @@ _EXPORTS = {
     "errors": (
         "AduxError", "DegenerateTime", "EmptyDataset", "EmptyInput",
         "ImpreciseShapes", "InsufficientData", "InvalidMass", "IoFailure", "MalformedRow",
-        "MissingInput", "NegativePeriod", "UnknownCategory", "UnknownFormat",
-        "UnknownRating", "ZeroTrials",
+        "NegativePeriod", "UnknownCategory", "UnknownFormat", "UnknownRating", "ZeroTrials",
     ),
     "model": (
         "Dataset", "DiscreteDistribution", "Rejection",
@@ -57,9 +56,8 @@ _EXPORTS = {
         "gen_drift_series", "gen_ratings", "gen_trials",
     ),
     "report": (
-        "AduxReport", "CategoryResult", "EvalConfig", "Fig3Spec",
-        "emit_plot_data", "emit_report", "emit_sessions", "evaluate",
-        "report_document",
+        "AduxReport", "CategoryResult", "emit_plot_data", "emit_report",
+        "emit_sessions", "evaluate", "fig3_rows", "report_document",
     ),
     "ingest": ("load_sessions", "tally_sessions"),
 }

@@ -3,7 +3,7 @@
 Every ``adux`` command is a fresh process, so import time is paid on each
 call. ``dataclasses`` writes each generated method as Python source and
 compiles it at run time, which no bytecode cache can save: about six
-compiles per class, for each of adux's 19 record types, plus the import of
+compiles per class, for each of adux's 17 record types, plus the import of
 ``inspect`` (and with it ``ast``, ``dis`` and ``tokenize``). Measured with
 Python 3.11.7 on a 2-vCPU shared VM, medians of 15-21 fresh interpreters:
 with bytecode caches, ``import adux`` took 32.3 ms with ``dataclasses`` and

@@ -50,10 +50,9 @@ _COMMAND_NAMES = {
     # benchmark/child.py times them under these names and reads 0 for them,
     # as it does for every other span a command skips.
     "ingest": ("load_sessions", "tally_sessions"),
-    "output": ("open_output", "write_session_columns", "_write_text",
+    "output": ("open_output", "write_session_columns", "_csv_lines",
                "_bucs_fields", "_iei_fields", "_json_text", "_tdc_fields"),
-    "report": ("EvalConfig", "Fig3Spec", "emit_plot_data", "emit_report", "emit_sessions",
-               "evaluate"),
+    "report": ("emit_plot_data", "emit_report", "emit_sessions", "evaluate", "fig3_rows"),
     "synth": ("GeneratorSpec", "category_presets", "gen_ratings", "gen_session_columns"),
 }
 _SOURCE = {name: module for module, names in _COMMAND_NAMES.items() for name in names}
@@ -176,18 +175,6 @@ def _add_out_option(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output file (default: stdout)")
 
 
-def _resolve_seed(args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("ADUX_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise _UsageError(f"ADUX_SEED must be an integer, got {env!r}") from None
-    return DEFAULT_SEED
-
-
 def _tally(args: argparse.Namespace, aggregation: str = POOLED):
     if args.input == "-" and sys.stdin is None:  # as Python sets it when fd 0 is closed
         raise IoFailure("cannot read standard input: it is closed")
@@ -203,7 +190,8 @@ def _tally(args: argparse.Namespace, aggregation: str = POOLED):
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
-    _cli._write_text(text, args.out or sys.stdout)
+    with _cli.open_output(args.out or sys.stdout) as handle:
+        handle.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +242,12 @@ def _cmd_bucs(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    # Made before the tally, so that the evaluation modules load before the
+    # Read before the tally, so that the evaluation modules load before the
     # tally grows the heap: loaded after it, they raised the peak RSS of a
     # 200k-row report by 0.5%.
-    config = _cli.EvalConfig(prior=args.prior, mass=args.mass)
+    evaluate = _cli.evaluate
     counts, rejections = _tally(args, args.aggregation)
-    report = _cli.evaluate(counts, config, n_rejected=len(rejections))
+    report = evaluate(counts, args.prior, args.mass, n_rejected=len(rejections))
     _to_stderr(f"adux: config digest {report.meta.config_digest}\n")
     text = _cli.emit_report(report, fmt=args.report_format, no_meta=args.no_meta)
     _emit(args, text)
@@ -317,7 +305,7 @@ def _specs_from_config_file(path: str, default_seed: int) -> list[GeneratorSpec]
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
+    seed = args.seed
     try:
         if args.config:
             specs = _specs_from_config_file(args.config, seed)
@@ -361,18 +349,16 @@ def _cmd_plotdata(args: argparse.Namespace) -> int:
         if not args.input:
             raise _UsageError(f"{args.figure} needs --input")
         counts, rejections = _tally(args, args.aggregation)
-        config = _cli.EvalConfig(prior=args.prior, mass=args.mass)
-        report = _cli.evaluate(counts, config, n_rejected=len(rejections))
+        report = _cli.evaluate(counts, args.prior, args.mass, n_rejected=len(rejections))
         _emit(args, _cli.emit_plot_data(report, args.figure))
         return EXIT_OK
     if args.p_hat is None:
         raise _UsageError("fig3 needs --p-hat (and optionally --N-list)")
-    try:
-        spec = _cli.Fig3Spec(p_hat=args.p_hat, trial_counts=args.N_list,
-                             prior=args.prior, mass=args.mass)
+    try:  # only the argument checks: the rows are computed as they are read
+        rows = _cli.fig3_rows(args.p_hat, args.N_list, args.prior, args.mass)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    _emit(args, _cli.emit_plot_data(spec, "fig3"))
+    _emit(args, _cli._csv_lines(rows))
     return EXIT_OK
 
 
@@ -432,8 +418,8 @@ def build_parser() -> _Parser:
                             f"{MAX_SCALE_LEVELS} levels)")
     p_sim.add_argument("--preset", help="use a shipped category preset, or 'all'")
     p_sim.add_argument("--config", help="JSON file with one spec or {'specs': [...]}")
-    p_sim.add_argument("--seed", type=int, default=None,
-                       help="PRNG seed (default: $ADUX_SEED or 42)")
+    p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                       help=f"PRNG seed (default {DEFAULT_SEED})")
     _add_out_option(p_sim)
     p_sim.set_defaults(func=_cmd_simulate, **_SPEC_DEFAULTS)
 

@@ -60,9 +60,5 @@ class UnknownFormat(AduxError):
     """An unsupported input or output format name."""
 
 
-class MissingInput(AduxError):
-    """A required input for the requested output is absent."""
-
-
 class IoFailure(AduxError):
     """Reading or writing a file failed."""

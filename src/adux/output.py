@@ -2,7 +2,9 @@
 
 Every file adux writes goes through :func:`open_output`: a temp file that
 replaces the destination only once the write has finished, so a failed run
-never leaves a partially written output behind.
+never leaves a partially written output behind. The emitters in
+:mod:`adux.report` only return text; the command line writes it through
+:func:`open_output`, and so can a library caller.
 
 :func:`_csv_lines` is the one CSV writer: the CSV report, the plot-data
 tables and the session log all print through it, with one cell rule (``None``
@@ -194,14 +196,6 @@ def open_output(destination: str | Path | IO[str]) -> Iterator[IO[str]]:
     except OSError as exc:
         # The OS reason alone: the exception's own text names the temp file.
         raise IoFailure(f"cannot write {given}: {exc.strerror or exc}") from exc
-
-
-def _write_text(text: str, destination: str | Path | IO[str] | None) -> str:
-    """Write the text to the destination, if given one; returns the text."""
-    if destination is not None:
-        with open_output(destination) as handle:
-            handle.write(text)
-    return text
 
 
 def _num(x: float) -> float | int:

@@ -9,22 +9,26 @@ machine-readable reason code instead of being silently dropped.
 Every metric needs only counts, so the pipeline streams: one pass reads,
 validates and counts each row (:func:`~adux.ingest.tally_sessions`), and
 :func:`evaluate` works from those counts alone; the IEI aggregation is
-chosen for the tally, and the counts carry it. The CSV report, the plot
-data and the session log that :func:`emit_sessions` writes back from a
-dataset all print through the one CSV writer in :mod:`adux.output`, and
-every file is written through :func:`adux.output.open_output`, so a
-failed run never leaves a partially written output behind.
+chosen for the tally, and the counts carry it. The prior and the credible
+mass are plain arguments of :func:`evaluate`, and fig3's interval-width
+table, which needs no log, is :func:`fig3_rows` of its own four arguments.
+
+Each emitter returns its text and writes nothing: the CSV report, the plot
+data and the session log that :func:`emit_sessions` renders back from a
+dataset all print through the one CSV writer in :mod:`adux.output`. A
+caller writes a file through :func:`adux.output.open_output`, so a failed
+run never leaves a partially written output behind.
 """
 
 from __future__ import annotations
 
 import io
 import json
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from datetime import datetime, timezone
+from itertools import chain
 from operator import attrgetter
-from pathlib import Path
-from typing import Any, IO
+from typing import Any
 
 try:
     # hashlib loads OpenSSL, several MB of memory for one short digest;
@@ -41,12 +45,12 @@ from .bayes import BetaParams, BucsResult, TrialSummary
 from .bayes import bucs, hdi, posterior, wald_ci
 from .drift import MIN_POINTS, TdcFit, UsabilitySeries, fit_tdc, series_from_dataset
 from .entropy import EntropyBits, PER_CATEGORY, iei_by_group
-from .errors import EmptyDataset, MissingInput, UnknownFormat
+from .errors import EmptyDataset, UnknownFormat
 # Re-exported, so that code importing them from adux.report keeps working
 # (benchmark/child.py times validate_dataset under this name).
 from .ingest import FORMAT_CSV, FORMAT_JSONL, load_sessions  # noqa: F401
 from .model import Dataset, ResponseSpace, SessionCounts, validate_dataset  # noqa: F401
-from .output import _CHUNK_ROWS, _csv_lines, _write_text, write_session_columns
+from .output import _CHUNK_ROWS, _csv_lines, write_session_columns
 from .output import _bucs_fields, _iei_fields, _json_text, _num, _tdc_fields
 from .output import open_output  # noqa: F401
 from .version import __version__
@@ -62,9 +66,7 @@ REASON_NO_TASK_OUTCOMES = "no-task-outcomes"
 _key_of = attrgetter("category", "period", "rating", "task_completed")
 
 
-def emit_sessions(
-    dataset: Dataset, destination: str | Path | IO[str] | None = None
-) -> str:
+def emit_sessions(dataset: Dataset) -> str:
     """Render a dataset back to the session CSV format (round-trips with
     :func:`load_sessions`)."""
     rows = dataset.observations
@@ -73,34 +75,26 @@ def emit_sessions(
     write_session_columns(
         (([o.session_id for o in chunk], list(map(_key_of, chunk))) for chunk in chunks),
         buffer)
-    return _write_text(buffer.getvalue(), destination)
+    return buffer.getvalue()
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 
 
-@record
-class EvalConfig:
-    """Evaluation options applied uniformly across categories. The IEI
-    aggregation is not one of them: the counts carry it."""
-
-    prior: BetaParams = BetaParams(1.0, 1.0)
-    mass: float = 0.95
-
-    def digest(self, counts: SessionCounts) -> str:
-        """The first 12 hex digits of the sha256 of the scale, prior, mass
-        and aggregation an evaluation of ``counts`` runs under."""
-        payload = json.dumps(
-            {
-                "scale": [[code, str(code)] for code in counts.space.codes],
-                "prior": [self.prior.alpha, self.prior.beta],
-                "mass": self.mass,
-                "aggregation": counts.aggregation,
-            },
-            sort_keys=True,
-        )
-        return sha256(payload.encode("utf-8")).hexdigest()[:12]
+def _digest(counts: SessionCounts, prior: BetaParams, mass: float) -> str:
+    """The first 12 hex digits of the sha256 of the scale, prior, mass and
+    aggregation an evaluation of ``counts`` runs under."""
+    payload = json.dumps(
+        {
+            "scale": [[code, str(code)] for code in counts.space.codes],
+            "prior": [prior.alpha, prior.beta],
+            "mass": mass,
+            "aggregation": counts.aggregation,
+        },
+        sort_keys=True,
+    )
+    return sha256(payload.encode("utf-8")).hexdigest()[:12]
 
 
 @record
@@ -138,7 +132,8 @@ class AduxReport:
 
 def evaluate(
     counts: SessionCounts,
-    config: EvalConfig | None = None,
+    prior: BetaParams = BetaParams(1.0, 1.0),
+    mass: float = 0.95,
     n_rejected: int = 0,
 ) -> AduxReport:
     """Run the full three-metric evaluation for every category.
@@ -149,9 +144,9 @@ def evaluate(
     five populated periods and is otherwise reported unavailable with reason
     ``insufficient-periods``.
     BUCS needs task outcomes and is otherwise reported unavailable with
-    reason ``no-task-outcomes``.
+    reason ``no-task-outcomes``. The BUCS interval of every category holds
+    ``mass`` of the posterior of ``prior``.
     """
-    config = config if config is not None else EvalConfig()
     if len(counts) == 0:
         raise EmptyDataset("cannot evaluate an empty dataset")
 
@@ -168,7 +163,7 @@ def evaluate(
         outcomes = counts.trials.get(name)
         if outcomes is not None:
             trials = TrialSummary(completions=outcomes[0], trials=outcomes[1])
-            bucs_result, bucs_reason = bucs(config.prior, trials, config.mass), None
+            bucs_result, bucs_reason = bucs(prior, trials, mass), None
         else:
             trials, bucs_result, bucs_reason = None, None, REASON_NO_TASK_OUTCOMES
 
@@ -188,10 +183,10 @@ def evaluate(
     meta = ReportMeta(
         rows=len(counts),
         rejected=n_rejected,
-        config_digest=config.digest(counts),
+        config_digest=_digest(counts, prior, mass),
         aggregation=counts.aggregation,
-        prior=config.prior,
-        mass=config.mass,
+        prior=prior,
+        mass=mass,
         version=__version__,
         generated_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
     )
@@ -265,90 +260,67 @@ def _report_csv_table(doc: dict[str, Any]) -> Iterator[tuple]:
             yield (entry["name"], metric, *map(cells.get, _CSV_COLUMNS[2:]))
 
 
-def emit_report(
-    report: AduxReport,
-    fmt: str = "json",
-    destination: str | Path | IO[str] | None = None,
-    no_meta: bool = False,
-) -> str:
+def emit_report(report: AduxReport, fmt: str = "json", no_meta: bool = False) -> str:
     """Serialize a report as JSON or CSV; returns the rendered text.
 
     ``no_meta`` drops the run-metadata block (which carries the only
     timestamp), making the output byte-stable across reruns.
     """
     if fmt == "json":
-        text = _json_text(report_document(report, no_meta=no_meta))
-    elif fmt == "csv":
-        text = _csv_lines(_report_csv_table(report_document(report, no_meta=True)))
-    else:
-        raise UnknownFormat(f"unsupported report format {fmt!r} (expected json or csv)")
-    return _write_text(text, destination)
+        return _json_text(report_document(report, no_meta=no_meta))
+    if fmt == "csv":
+        return _csv_lines(_report_csv_table(report_document(report, no_meta=True)))
+    raise UnknownFormat(f"unsupported report format {fmt!r} (expected json or csv)")
 
 
 # ---------------------------------------------------------------------------
 # plot data
 
 
-@record
-class Fig3Spec:
-    """Interval-width experiment: fixed completion share across sample sizes."""
-
-    p_hat: float
-    trial_counts: tuple[int, ...]
-    prior: BetaParams = BetaParams(1.0, 1.0)
-    mass: float = 0.95
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p_hat <= 1.0:
-            raise ValueError(f"p_hat must lie in [0, 1], got {self.p_hat}")
-        if not self.trial_counts or any(n < 1 for n in self.trial_counts):
-            raise ValueError("trial_counts must be a non-empty list of positive counts")
-
-
-FIGURES = ("fig1", "fig2", "fig3")
-
-
-def plot_data_rows(source: AduxReport | Fig3Spec, figure: str) -> tuple[tuple, ...]:
-    """Plot-data table for one figure, as (header, row, row, ...)."""
-    if figure in ("fig1", "fig2") and not isinstance(source, AduxReport):
-        raise MissingInput(f"{figure} needs an evaluated report")
+def plot_data_rows(report: AduxReport, figure: str) -> tuple[tuple, ...]:
+    """Plot-data table of fig1 or fig2, as (header, row, row, ...)."""
     if figure == "fig1":
         header = ("category", "iei_bits", "iei_normalized")
-        fields = [(c.name, _iei_fields(c.iei)) for c in source.categories]
+        fields = [(c.name, _iei_fields(c.iei)) for c in report.categories]
         return (header,) + tuple((name, f["bits"], f["normalized"]) for name, f in fields)
     if figure == "fig2":
         header = ("category", "t", "u", "fitted_u")
         rows: list[tuple] = []
-        for c in source.categories:
+        for c in report.categories:
             for t, u in c.series.points:
                 fitted = (
                     _num(c.tdc.beta0 + c.tdc.beta1 * t) if c.tdc is not None else None
                 )
                 rows.append((c.name, t, _num(u), fitted))
         return (header,) + tuple(rows)
-    if figure == "fig3":
-        if not isinstance(source, Fig3Spec):
-            raise MissingInput(
-                "fig3 needs an experiment spec (p_hat, trial counts, prior, mass)"
-            )
-        header = ("N", "bucs_hdi_width", "wald_width")
-        rows = []
-        for n_trials in source.trial_counts:
-            trials = TrialSummary(
-                completions=round(source.p_hat * n_trials), trials=n_trials
-            )
-            post = posterior(source.prior, trials)
-            bayes_width = hdi(post, source.mass).width
-            wald_width = wald_ci(trials, source.mass).width
-            rows.append((n_trials, _num(bayes_width), _num(wald_width)))
-        return (header,) + tuple(rows)
-    raise UnknownFormat(f"unknown figure {figure!r} (expected fig1, fig2 or fig3)")
+    raise UnknownFormat(f"unknown figure {figure!r} (expected fig1 or fig2)")
 
 
-def emit_plot_data(
-    source: AduxReport | Fig3Spec,
-    figure: str,
-    destination: str | Path | IO[str] | None = None,
-) -> str:
-    """Write one figure's plot-data table as headered CSV."""
-    return _write_text(_csv_lines(plot_data_rows(source, figure)), destination)
+def emit_plot_data(report: AduxReport, figure: str) -> str:
+    """One figure's plot-data table as headered CSV: fig1 or fig2."""
+    return _csv_lines(plot_data_rows(report, figure))
+
+
+def fig3_rows(
+    p_hat: float,
+    trial_counts: Sequence[int],
+    prior: BetaParams = BetaParams(1.0, 1.0),
+    mass: float = 0.95,
+) -> Iterator[tuple]:
+    """Plot-data table of fig3, the interval-width experiment: a fixed
+    completion share across sample sizes, as (header, row, row, ...).
+
+    The arguments are checked when it is called, and each row is computed
+    as it is read, so an error of the computation is raised by the read.
+    """
+    if not 0.0 <= p_hat <= 1.0:
+        raise ValueError(f"p_hat must lie in [0, 1], got {p_hat}")
+    if not trial_counts or any(n < 1 for n in trial_counts):
+        raise ValueError("trial_counts must be a non-empty list of positive counts")
+
+    def row(n_trials: int) -> tuple:
+        trials = TrialSummary(completions=round(p_hat * n_trials), trials=n_trials)
+        bayes_width = hdi(posterior(prior, trials), mass).width
+        return (n_trials, _num(bayes_width), _num(wald_ci(trials, mass).width))
+
+    return chain([("N", "bucs_hdi_width", "wald_width")], map(row, trial_counts))

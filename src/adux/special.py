@@ -46,6 +46,11 @@ _LANCZOS_COEF = (
 _CF_MAX_ITER = 500
 _CF_EPS = 1e-16
 _CF_TINY = 1e-300
+# The tail of a shape past this is taken as 0. The continued fraction for
+# it overflows, or, where 1 - x rounds to 1, returns any number at all; but
+# log B is precise at such a shape only beside one below 3e-6, and the tail
+# is then below 0.3 times that one, under the error log B already allows.
+_CF_MAX_SHAPE = 1e15
 
 _NEWTON_RTOL = 1e-12
 _NEWTON_MAX_ITER = 100
@@ -143,7 +148,9 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     Parameters must satisfy a > 0, b > 0 and 0 <= x <= 1. The continued
     fraction is applied to the tail where it converges quickly
     (x < (a+1)/(a+b+2)) and reflected otherwise, which also preserves
-    relative accuracy deep in either tail.
+    relative accuracy deep in either tail. The result lies in [0, 1]: a
+    rounding past either end is clamped, and a fraction that overflows
+    raises ImpreciseShapes.
     """
     if a <= 0.0 or b <= 0.0:
         raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
@@ -156,8 +163,15 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     log_front = a * math.log(x) + b * math.log1p(-x) - log_beta(a, b)
     front = math.exp(log_front)
     if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_continued_fraction(a, b, x) / a
-    return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
+        value = 0.0 if a > _CF_MAX_SHAPE else front * _beta_continued_fraction(a, b, x) / a
+    else:
+        value = 1.0 if b > _CF_MAX_SHAPE else (
+            1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b)
+    if 0.0 <= value <= 1.0:
+        return value
+    if not math.isfinite(value):
+        raise ImpreciseShapes(f"I_x(Beta({a}, {b})) at x = {x} overflows its continued fraction")
+    return 0.0 if value < 0.0 else 1.0
 
 
 def log_beta_pdf(a: float, b: float, x: float) -> float:

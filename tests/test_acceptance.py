@@ -33,7 +33,7 @@ from adux.drift import UsabilitySeries, fit_tdc
 from adux.entropy import iei, iei_by_group
 from adux.errors import InsufficientData
 from adux.model import DiscreteDistribution, ResponseSpace, five_point
-from adux.report import EvalConfig, emit_plot_data, evaluate
+from adux.report import emit_plot_data, evaluate
 from adux.synth import GeneratorSpec, category_presets, gen_drift_series, gen_ratings
 from oracles import entropy_bits_direct, min_width_hdi, normal_equations_fit
 
@@ -240,7 +240,7 @@ def test_criterion_09_preset_entropy_ordering():
         datasets = [gen_ratings(spec) for spec in category_presets()]
         merged_obs = tuple(o for ds in datasets for o in ds.observations)
         merged = datasets[0].__class__(space=datasets[0].space, observations=merged_obs)
-        report = evaluate(merged.counts(), EvalConfig())
+        report = evaluate(merged.counts())
         text = emit_plot_data(report, "fig1")
         table = {
             line.split(",")[0]: float(line.split(",")[1])

@@ -244,6 +244,15 @@ class TestReportCommand:
         assert [c["name"] for c in doc["categories"]] == ["chat", "search"]
         assert doc["meta"]["rows"] == 8
 
+    @pytest.mark.parametrize("aggregation, digest", [
+        ("pooled", "95e14f524799"), ("mean-of-sessions", "8aeac22c820a"),
+    ])
+    def test_digest_of_a_set_prior_and_mass(self, aggregation, digest, sessions_csv, capsys):
+        # The sha256 of the scale, prior, mass and aggregation, cut to 12 digits.
+        assert main(["report", "--input", sessions_csv, "--prior", "2,3", "--mass", "0.9",
+                     "--aggregation", aggregation]) == 0
+        assert capsys.readouterr().err == f"adux: config digest {digest}\n"
+
     def test_csv_report(self, sessions_csv, capsys):
         assert main(["report", "--input", sessions_csv, "--report-format", "csv"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
@@ -658,16 +667,6 @@ class TestSimulateCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_env_seed_overrides_default(self, tmp_path, monkeypatch):
-        args = ["simulate", "--category", "chat", "--probs", "1,0,0,0,0"]
-        out_a, out_b, out_c = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
-        monkeypatch.setenv("ADUX_SEED", "123")
-        main(args + ["--out", str(out_a)])
-        monkeypatch.delenv("ADUX_SEED")
-        main(args + ["--seed", "123", "--out", str(out_b)])
-        main(args + ["--out", str(out_c)])  # falls back to built-in default
-        assert out_a.read_bytes() == out_b.read_bytes()
-
     def test_preset_all(self, tmp_path):
         out = tmp_path / "presets.csv"
         assert main(["simulate", "--preset", "all", "--out", str(out)]) == 0
@@ -709,8 +708,7 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert captured.err == "adux: usage error: seed must be >= 0, got -1\n"
 
-    def test_flags_and_config_share_defaults(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("ADUX_SEED", raising=False)
+    def test_flags_and_config_share_defaults(self, tmp_path, capsys):
         probs = [0.1, 0.2, 0.3, 0.2, 0.2]
         config = tmp_path / "spec.json"
         config.write_text(json.dumps({"category": "c", "probs": probs}))
@@ -790,8 +788,7 @@ class TestSimulateCommand:
         ([{}, {"seed": 7}, {}], "seeds 42, 7, 44"),
     ], ids=["defaults", "defaults-spelled-out", "one-own", "two-own", "mixed"])
     def test_summary_names_the_seeds_that_made_the_file(self, entries, seeds, tmp_path,
-                                                        capsys, monkeypatch):
-        monkeypatch.delenv("ADUX_SEED", raising=False)
+                                                        capsys):
         config = tmp_path / "spec.json"
         config.write_text(json.dumps([
             {"category": f"c{i}", "probs": [0.2] * 5, "periods": 1, "sessions_per_period": 2,

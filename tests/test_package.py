@@ -14,11 +14,12 @@ import adux
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# adux.__all__ as the package printed it when it imported every module up front.
+# adux.__all__ as the package printed it when it imported every module up front,
+# less the names removed since (MissingInput, EvalConfig and Fig3Spec), plus fig3_rows.
 PUBLIC_NAMES = [
     "__version__", "AduxError", "DegenerateTime", "EmptyDataset", "EmptyInput",
     "ImpreciseShapes", "InsufficientData", "InvalidMass", "IoFailure", "MalformedRow",
-    "MissingInput", "NegativePeriod", "UnknownCategory", "UnknownFormat", "UnknownRating",
+    "NegativePeriod", "UnknownCategory", "UnknownFormat", "UnknownRating",
     "ZeroTrials", "Dataset", "DiscreteDistribution", "Rejection", "ResponseSpace",
     "STRICT", "SKIP_INVALID", "SessionCounts", "SessionObservation",
     "ValidationResult", "build_distribution", "five_point", "validate_dataset",
@@ -30,8 +31,8 @@ PUBLIC_NAMES = [
     "equal_tailed_interval", "hdi", "posterior", "update_prior", "wald_ci",
     "GeneratorSpec", "category_presets", "discretized_line_distributions",
     "gen_drift_series", "gen_ratings", "gen_trials", "AduxReport",
-    "CategoryResult", "EvalConfig", "Fig3Spec", "emit_plot_data", "emit_report",
-    "emit_sessions", "evaluate", "report_document", "load_sessions", "tally_sessions",
+    "CategoryResult", "emit_plot_data", "emit_report", "emit_sessions", "evaluate",
+    "fig3_rows", "report_document", "load_sessions", "tally_sessions",
 ]
 
 SUBMODULES = ("bayes", "drift", "entropy", "errors", "ingest", "model", "output",

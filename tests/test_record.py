@@ -33,7 +33,7 @@ from adux.model import (
     SessionObservation,
     ValidationResult,
 )
-from adux.report import AduxReport, CategoryResult, EvalConfig, Fig3Spec, ReportMeta
+from adux.report import AduxReport, CategoryResult, ReportMeta
 from adux.synth import GeneratorSpec
 
 
@@ -69,11 +69,9 @@ def _records() -> dict[str, object]:
         "CredibleInterval": interval,
         "BucsResult": BucsResult(post, interval, 0.36363636363636365, None),
         "GeneratorSpec": GeneratorSpec("chat", dist, 3.0, 0.0, 0.0, 0.5, 2, 10, 7),
-        "EvalConfig": EvalConfig(),
         "CategoryResult": category,
         "ReportMeta": meta,
         "AduxReport": AduxReport(space, (category,), meta),
-        "Fig3Spec": Fig3Spec(0.7, (10, 100)),
     }
 
 
@@ -135,9 +133,6 @@ DATACLASS_REPRS = {
         'true_beta1=0.0, noise_sd=0.0, completion_p=0.5, periods=2, '
         'sessions_per_period=10, seed=7)'
     ),
-    'EvalConfig': (
-        'EvalConfig(prior=BetaParams(alpha=1.0, beta=1.0), mass=0.95)'
-    ),
     'CategoryResult': (
         "CategoryResult(name='chat', iei=EntropyBits(value=1.5, "
         'normalized=0.9463946303571863, n_ratings=4), '
@@ -168,10 +163,6 @@ DATACLASS_REPRS = {
         "rejected=0, config_digest='0123456789ab', aggregation='pooled', "
         "prior=BetaParams(alpha=1.0, beta=1.0), mass=0.95, version='9.9', "
         "generated_at='2024-03-01T00:00:00Z'))"
-    ),
-    'Fig3Spec': (
-        'Fig3Spec(p_hat=0.7, trial_counts=(10, 100), prior=BetaParams(alpha=1.0, '
-        'beta=1.0), mass=0.95)'
     ),
 }
 
@@ -226,7 +217,8 @@ def test_defaults():
     assert interval.unique is True and CredibleInterval.unique is True
     result = ValidationResult(Dataset(ResponseSpace(1, 3), ()))
     assert result.rejections == () and ValidationResult.rejections == ()
-    assert EvalConfig().prior == BetaParams(1.0, 1.0)
+    obs = SessionObservation("s1", "chat", 0, 2)
+    assert obs.task_completed is None and SessionObservation.task_completed is None
 
 
 # A bad call names the class and every argument at fault.

@@ -17,7 +17,6 @@ from adux.errors import (
     EmptyDataset,
     IoFailure,
     MalformedRow,
-    MissingInput,
     UnknownFormat,
     UnknownRating,
 )
@@ -26,12 +25,11 @@ from adux.model import (
 )
 from adux import output as output_module
 from adux.report import (
-    EvalConfig,
-    Fig3Spec,
     emit_plot_data,
     emit_report,
     emit_sessions,
     evaluate,
+    fig3_rows,
     load_sessions,
     open_output,
     report_document,
@@ -224,8 +222,7 @@ class TestEvaluate:
     def test_metrics_equal_direct_module_calls(self):
         ds = _five_period_dataset()
         counts = ds.counts(MEAN_OF_SESSIONS)
-        config = EvalConfig(prior=BetaParams(2, 2), mass=0.9)
-        report = evaluate(counts, config)
+        report = evaluate(counts, BetaParams(2, 2), 0.9)
         by_name = {c.name: c for c in report.categories}
 
         grouped = dict(iei_by_group(counts))
@@ -309,10 +306,11 @@ class TestEmitReport:
             emit_report(evaluate(_five_period_counts()), fmt="yaml")
 
     def test_atomic_write_failure_leaves_no_file(self, tmp_path):
-        report = evaluate(_five_period_counts())
+        text = emit_report(evaluate(_five_period_counts()))
         target = tmp_path / "missing-dir" / "report.json"
         with pytest.raises(IoFailure):
-            emit_report(report, destination=target)
+            with open_output(target) as handle:
+                handle.write(text)
         assert not target.exists()
         assert list(tmp_path.iterdir()) == []
 
@@ -334,9 +332,10 @@ class TestEmitReport:
         assert [p.name for p in tmp_path.iterdir()] == ["sessions.csv"]
 
     def test_write_to_path(self, tmp_path):
-        report = evaluate(_five_period_counts())
+        text = emit_report(evaluate(_five_period_counts()))
         target = tmp_path / "report.json"
-        text = emit_report(report, destination=target)
+        with open_output(target) as handle:
+            handle.write(text)
         assert target.read_text() == text
         assert not [p for p in tmp_path.iterdir() if p.name != "report.json"]
 
@@ -413,31 +412,35 @@ class TestPlotData:
         assert all(r.split(",")[3] == "" for r in search_rows)
 
     def test_fig3_widths_decrease_and_edge_case(self):
-        spec = Fig3Spec(p_hat=0.7, trial_counts=(10, 50, 200, 1000))
-        lines = emit_plot_data(spec, "fig3").strip().split("\n")
-        assert lines[0] == "N,bucs_hdi_width,wald_width"
-        widths = [float(line.split(",")[1]) for line in lines[1:]]
+        rows = list(fig3_rows(p_hat=0.7, trial_counts=(10, 50, 200, 1000)))
+        assert rows[0] == ("N", "bucs_hdi_width", "wald_width")
+        widths = [bucs_width for _, bucs_width, _ in rows[1:]]
         assert all(b < a for a, b in zip(widths, widths[1:]))
 
-        edge = emit_plot_data(Fig3Spec(p_hat=1.0, trial_counts=(10,)), "fig3")
-        _, row = edge.strip().split("\n")
-        _, bucs_width, wald_width = row.split(",")
-        assert float(wald_width) == 0.0
-        assert float(bucs_width) > 0.0
-
-    def test_wrong_source_type_is_missing_input(self):
-        report = evaluate(_five_period_counts())
-        with pytest.raises(MissingInput):
-            emit_plot_data(report, "fig3")
-        with pytest.raises(MissingInput):
-            emit_plot_data(Fig3Spec(p_hat=0.5, trial_counts=(10,)), "fig1")
+        [(_, bucs_width, wald_width)] = list(fig3_rows(p_hat=1.0, trial_counts=(10,)))[1:]
+        assert wald_width == 0.0
+        assert bucs_width > 0.0
 
     def test_unknown_figure(self):
         with pytest.raises(UnknownFormat):
             emit_plot_data(evaluate(_five_period_counts()), "fig9")
 
+    def test_report_has_no_fig3_table(self):
+        # fig3 is fig3_rows's own: a report has no interval-width table.
+        report = evaluate(_five_period_counts())
+        with pytest.raises(UnknownFormat, match=r"'fig3' \(expected fig1 or fig2\)"):
+            emit_plot_data(report, "fig3")
+
     def test_fig3_spec_validation(self):
-        with pytest.raises(ValueError):
-            Fig3Spec(p_hat=1.5, trial_counts=(10,))
-        with pytest.raises(ValueError):
-            Fig3Spec(p_hat=0.5, trial_counts=())
+        with pytest.raises(ValueError, match=r"p_hat must lie in \[0, 1\], got 1.5"):
+            fig3_rows(p_hat=1.5, trial_counts=(10,))
+        with pytest.raises(ValueError, match="trial_counts must be a non-empty list"):
+            fig3_rows(p_hat=0.5, trial_counts=())
+
+    def test_fig3_computes_each_row_as_it_is_read(self):
+        # So that the command line tells a bad argument from a failed computation.
+        rows = fig3_rows(p_hat=0.5, trial_counts=(10, 10**400))
+        assert next(rows) == ("N", "bucs_hdi_width", "wald_width")
+        assert next(rows)[0] == 10
+        with pytest.raises(OverflowError):  # 0.5 * 10**400 is past any float
+            next(rows)

@@ -121,6 +121,27 @@ class TestIncompleteBeta:
         ours = regularized_incomplete_beta(a, b, x)
         assert ours == pytest.approx(float(sp.betainc(a, b, x)), abs=1e-10)
 
+    @pytest.mark.parametrize("x", [5e-324, 1e-300, 1e-10, 0.3, 0.5, 0.7])
+    def test_a_shape_sum_near_the_float_range_stays_in_the_unit_interval(self, x):
+        # Beta(1e-300, 1e300) holds all but ~1e-300 of its mass below
+        # 5e-324. The continued fraction of the shape 1e300 overflows to
+        # NaN, and the one from 0 summed to 1.0000000000000238 at 5e-324.
+        assert regularized_incomplete_beta(1e-300, 1e300, x) == 1.0
+        if 1.0 - x < 1.0:
+            assert regularized_incomplete_beta(1e300, 1e-300, 1.0 - x) == 0.0
+
+    @pytest.mark.parametrize("a, b, x", [(1e-100, 1e20, 1e-20), (1e-100, 1e20, 1e-19),
+                                         (2e-6, 1e17, 1e-17), (2.5e-7, 1e150, 1e-150)])
+    def test_a_huge_shape_where_one_minus_x_rounds_to_one(self, a, b, x):
+        # 1 - x loses x, and the fraction returned -2.9e182 for the first.
+        # Within the 1e-4 that log B may be off by at these shapes.
+        want = float(sp.betainc(a, b, x))
+        assert regularized_incomplete_beta(a, b, x) == pytest.approx(want, abs=1e-4)
+
+    def test_a_fraction_that_overflows_raises(self):
+        with pytest.raises(ImpreciseShapes, match="overflows its continued fraction"):
+            regularized_incomplete_beta(1e-7, 1.7e308, 1e-310)
+
 
 @pytest.mark.parametrize("a, b", [(5e-324, 1.0), (1e-300, 1e300)])
 def test_quantiles_of_mass_held_below_the_smallest_float(a, b):
