@@ -15,8 +15,9 @@ made.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from collections.abc import Sequence
+from collections import Counter, defaultdict
+from collections.abc import Iterable, Sequence
+from itertools import chain, repeat
 
 from ._record import record
 from .errors import EmptyDataset
@@ -88,25 +89,32 @@ def _entropy_of_counts(counts: tuple[int, ...]) -> float:
     return _entropy_bits(tuple(c / n for c in counts))
 
 
-def _mean_entropy(parts: list[Sequence[int]], space: ResponseSpace) -> EntropyBits:
+def _mean_entropy(parts: Iterable[Sequence[int]], space: ResponseSpace) -> EntropyBits:
     """IEI of a group as the unweighted mean over its parts' rating counts:
     its sessions, or the whole group as one part when pooled.
 
-    Sessions of a few ratings share few count vectors, so each distinct
-    vector's entropy is computed once; the sum keeps the parts' order."""
-    known: dict[tuple[int, ...], float] = {}
-    values = []
-    for counts in map(tuple, parts):
-        value = known.get(counts)
-        if value is None:
-            value = known[counts] = _entropy_of_counts(counts)
-        values.append(value)
-    mean_value = sum(values) / len(values)
+    Sessions of a few ratings share few count vectors, so the parts are
+    counted by vector and each distinct vector's entropy is computed once.
+    The mean is the ``math.fsum`` of the parts' entropies, each distinct
+    one repeated by its multiplicity, over the number of parts. fsum rounds
+    the exact sum once, so the mean does not depend on the parts' order."""
+    multiplicity = Counter(map(tuple, parts))
+    total = math.fsum(chain.from_iterable(
+        repeat(_entropy_of_counts(counts), m) for counts, m in multiplicity.items()))
+    mean_value = total / multiplicity.total()
     return EntropyBits(
         value=mean_value,
         normalized=_normalize(mean_value, len(space)),
-        n_ratings=sum(sum(counts) for counts in parts),
+        n_ratings=sum(sum(counts) * m for counts, m in multiplicity.items()),
     )
+
+
+def _parts(levels: list[dict[str, list[int]]]) -> Iterable[Sequence[int]]:
+    """The count lists of a group's parts, from its levels' dicts of them
+    by session id: one level's as they are, or several summed by id."""
+    if len(levels) == 1:
+        return levels[0].values()
+    return sum_counts(chain.from_iterable(map(dict.items, levels))).values()
 
 
 def iei_by_group(
@@ -117,37 +125,25 @@ def iei_by_group(
     Grouping is per category or per (category, period). The aggregation is
     the counts' own: pooled builds one distribution from all ratings in the
     group; mean-of-sessions computes the IEI of each session separately and
-    averages them (unweighted). ``n_ratings`` reports the total ratings in
-    the group either way. Group keys come back sorted for deterministic
-    output.
+    averages them (unweighted), in any order to the same bits. A session
+    seen in two periods of a category is one part of that category.
+    ``n_ratings`` reports the total ratings in the group either way. Group
+    keys come back sorted for deterministic output.
 
-    Counts are read, never changed: each group takes its count lists by
-    reference, and a new list is summed only for a group that gathers more
-    than one of them, such as a session whose rows fall in two periods of
-    one category.
+    Counts are read, never changed: a group of one (category, period) takes
+    its count lists by reference. A group of several sums them into new
+    lists, by session id, one group at a time.
     """
     if grouping not in (PER_CATEGORY, PER_CATEGORY_PER_PERIOD):
         raise ValueError(f"unknown grouping {grouping!r}")
     if len(counts) == 0:
         raise EmptyDataset("cannot compute grouped IEI on an empty dataset")
 
-    parts: defaultdict[GroupKey, list[Sequence[int]]] = defaultdict(list)
-    if counts.aggregation == POOLED:
-        if grouping == PER_CATEGORY:
-            pooled = sum_counts((c, n) for (c, _), n in counts.levels.items())
-        else:
-            pooled = counts.levels
-        for key, n in pooled.items():
-            parts[key].append(n)
-    elif grouping == PER_CATEGORY_PER_PERIOD:
-        # Sessions keep first-seen order within their group, so the mean
-        # sums the session entropies in the order the rows listed them.
-        for (c, p, _), n in counts.sessions.items():
-            parts[c, p].append(n)
-    else:
-        # A session seen in two periods of a category is one part, at the
-        # place the session was first seen.
-        sessions = sum_counts(((c, s), n) for (c, _, s), n in counts.sessions.items())
-        for (c, _), n in sessions.items():
-            parts[c].append(n)
-    return tuple((key, _mean_entropy(parts[key], counts.space)) for key in sorted(parts))
+    pooled = counts.aggregation == POOLED
+    groups: defaultdict[GroupKey, list[dict[str, list[int]]]] = defaultdict(list)
+    for (c, p), level in (counts.levels if pooled else counts.sessions).items():
+        # Pooled, a (category, period) is one part under one id, so that a
+        # category's periods add up to one part.
+        groups[c if grouping == PER_CATEGORY else (c, p)].append({"": level} if pooled else level)
+    return tuple((key, _mean_entropy(_parts(groups[key]), counts.space))
+                 for key in sorted(groups))

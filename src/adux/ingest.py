@@ -35,10 +35,12 @@ first character to its last) falls back to ``json.loads``, which gives it
 the reason and detail it always had. CSV and JSON-lines rows then pass one
 rule that takes a row's period from its timestamp when it has none.
 
-:func:`tally_sessions` then moves each count list to its final period as
-it is, without a copy. Timestamp days map one to one onto periods, so
-only a log that mixes explicit periods with timestamps can put two lists
-on one period, and then the second is added into the first.
+:func:`tally_sessions` then moves each (category, period)'s counts to
+its final period as they are, without a copy: its count list and, under
+mean-of-sessions, its dict of sessions' count lists. Timestamp days map
+one to one onto periods, so only a log that mixes explicit periods with
+timestamps can put two groups on one period, and then the second is added
+into the first, its new sessions after the first's.
 """
 
 from __future__ import annotations
@@ -441,22 +443,34 @@ def tally_sessions(
 def _move_periods(counts: SessionCounts, period_of: Callable[[int], int]) -> None:
     """Move each period p of ``counts`` to ``period_of(p)``, in place.
 
-    The counts become those of the same rows with their periods moved, keys
-    in the order their new keys are first seen. No list is copied: a list
-    stays where its new key is first seen, and one whose new key is already
-    taken is added into that one.
+    The counts become those of the same rows with their periods moved.
+    Only the (category, period) keys are made anew, in the order their new
+    keys are first seen; what each key holds, a count list or a dict of
+    sessions' count lists, moves as it is, without a copy. One whose new
+    key is already taken is added into that one (:func:`_add_into`).
     """
 
-    def moved(pairs: Iterator[tuple[Any, list[int]]]) -> dict[Any, list[int]]:
-        table: dict[Any, list[int]] = {}
-        for key, n in pairs:
-            mine = table.setdefault(key, n)
+    def moved(table: dict[tuple[str, int], Any]) -> dict[tuple[str, int], Any]:
+        new: dict[tuple[str, int], Any] = {}
+        for (c, p), n in table.items():
+            mine = new.setdefault((c, period_of(p)), n)
             if mine is not n:
-                for i, c in enumerate(n):
-                    mine[i] += c
-        return table
+                _add_into(mine, n)
+        return new
 
-    counts.levels = moved(((c, period_of(p)), n) for (c, p), n in counts.levels.items())
-    counts.sessions = moved(
-        ((c, period_of(p), s), n) for (c, p, s), n in counts.sessions.items()
-    )
+    counts.levels = moved(counts.levels)
+    counts.sessions = moved(counts.sessions)
+
+
+def _add_into(mine: list[int] | dict[str, list[int]],
+              more: list[int] | dict[str, list[int]]) -> None:
+    """Add a count list into ``mine``, or a dict of them session by session:
+    a session new to ``mine`` moves in as it is, after those already there."""
+    if isinstance(more, dict):
+        for session_id, n in more.items():
+            theirs = mine.setdefault(session_id, n)
+            if theirs is not n:
+                _add_into(theirs, n)
+    else:
+        for i, c in enumerate(more):
+            mine[i] += c

@@ -164,9 +164,9 @@ class SessionCounts:
     ``space`` in order. ``trials`` maps a category to
     ``[completions, trials]`` over its rows that carry a task outcome.
     ``sessions`` is filled only under ``mean-of-sessions``, which reads it:
-    it maps (category, period, session_id) to rating counts, in the order
-    the keys were first seen, which is the order the mean of session
-    entropies is summed in. ``len()`` is the number of rows counted.
+    it maps (category, period) to a dict from session id to that session's
+    rating counts in the group, so a session's key holds no copy of its
+    category or period. ``len()`` is the number of rows counted.
     """
 
     __hash__ = None  # mutable, so unhashable
@@ -180,7 +180,7 @@ class SessionCounts:
         self.rows = 0
         self.levels: dict[tuple[str, int], list[int]] = {}
         self.trials: dict[str, list[int]] = {}
-        self.sessions: dict[tuple[str, int, str], list[int]] = {}
+        self.sessions: dict[tuple[str, int], dict[str, list[int]]] = {}
         self._index = {code: i for i, code in enumerate(space.codes)}
 
     def __repr__(self) -> str:
@@ -220,10 +220,12 @@ class SessionCounts:
                 outcomes[0] += n
             outcomes[1] += n
         if self.aggregation == MEAN_OF_SESSIONS:
-            session_key = (category, period, session_id)
-            counts = self.sessions.get(session_key)
+            group = self.sessions.get(key)
+            if group is None:
+                group = self.sessions[key] = {}
+            counts = group.get(session_id)
             if counts is None:
-                counts = self.sessions[session_key] = [0] * len(self._index)
+                counts = group[session_id] = [0] * len(self._index)
             counts[i] += n
         self.rows += n
 

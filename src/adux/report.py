@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import io
 import json
+import math
+import sys
 from collections.abc import Iterator, Sequence
 from datetime import datetime, timezone
 from itertools import chain
@@ -45,7 +47,7 @@ from .bayes import BetaParams, BucsResult, TrialSummary
 from .bayes import bucs, hdi, posterior, wald_ci
 from .drift import MIN_POINTS, TdcFit, UsabilitySeries, fit_tdc, series_from_dataset
 from .entropy import EntropyBits, PER_CATEGORY, iei_by_group
-from .errors import EmptyDataset, UnknownFormat
+from .errors import EmptyDataset, ImpreciseShapes, UnknownFormat
 # Re-exported, so that code importing them from adux.report keeps working
 # (benchmark/child.py times validate_dataset under this name).
 from .ingest import FORMAT_CSV, FORMAT_JSONL, load_sessions  # noqa: F401
@@ -311,7 +313,9 @@ def fig3_rows(
     completion share across sample sizes, as (header, row, row, ...).
 
     The arguments are checked when it is called, and each row is computed
-    as it is read, so an error of the computation is raised by the read.
+    as it is read, so an error of the computation is raised by the read. A
+    count whose posterior's alpha + beta overflows a float is one: it
+    raises ImpreciseShapes, as the shapes of a count just below do.
     """
     if not 0.0 <= p_hat <= 1.0:
         raise ValueError(f"p_hat must lie in [0, 1], got {p_hat}")
@@ -319,6 +323,10 @@ def fig3_rows(
         raise ValueError("trial_counts must be a non-empty list of positive counts")
 
     def row(n_trials: int) -> tuple:
+        # An int past the largest float compares exactly, where a sum would overflow.
+        if n_trials > sys.float_info.max or prior.alpha + prior.beta + n_trials == math.inf:
+            raise ImpreciseShapes("a trial count is too large: the posterior's "
+                                  "alpha + beta overflows a float")
         trials = TrialSummary(completions=round(p_hat * n_trials), trials=n_trials)
         bayes_width = hdi(posterior(prior, trials), mass).width
         return (n_trials, _num(bayes_width), _num(wald_ci(trials, mass).width))

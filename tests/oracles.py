@@ -4,6 +4,7 @@ These deliberately avoid the library's own code paths: the HDI oracle
 minimises interval width over scipy's incomplete beta and its inverse, the
 regression oracle solves the raw normal equations with numpy's linear
 solver, the entropy oracle is direct summation over known probabilities,
+the mean-of-sessions oracle adds session entropies as exact fractions,
 and the session-CSV oracle renders a whole log at once with the csv module.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import optimize, special as sp
@@ -63,6 +65,27 @@ def normal_equations_fit(ts, us) -> tuple[float, float]:
 def entropy_bits_direct(probs) -> float:
     """Direct -sum(p log2 p) over known probabilities."""
     return -sum(p * math.log2(p) for p in probs if p > 0.0)
+
+
+def mean_of_sessions_iei(rows, by_period: bool) -> dict:
+    """Mean-of-sessions IEI of listed (session, category, period, rating)
+    rows, keyed by category, or by (category, period) when ``by_period``.
+
+    A session's ratings in a group make one distribution, whose entropy is
+    :func:`entropy_bits_direct` of its levels' shares, the levels taken in
+    ascending order. Those entropies are added as exact Fractions and the
+    mean is rounded once, at the end.
+    """
+    ratings: dict = {}
+    for session, category, period, rating in rows:
+        group = (category, period) if by_period else category
+        ratings.setdefault(group, {}).setdefault(session, []).append(rating)
+    means = {}
+    for group, sessions in ratings.items():
+        values = [entropy_bits_direct([r.count(code) / len(r) for code in sorted(set(r))])
+                  for r in sessions.values()]
+        means[group] = float(sum(map(Fraction, values)) / len(values))
+    return means
 
 
 def session_csv(observations) -> str:

@@ -560,6 +560,18 @@ class TestEdgesOfTheFloatRange:
         # Both posteriors hold all but a float's worth of mass below 5e-324.
         assert 0.0 <= interval["lower"] <= interval["upper"] <= 5e-324
 
+    @pytest.mark.parametrize("args", [
+        ["--N-list", "1" + "0" * 400],
+        ["--prior", "1,1e308", "--N-list", str(int(1.5e308))],
+        ["--N-list", "10,1" + "0" * 400],
+    ], ids=["N-past-every-float", "alpha-plus-beta-overflows", "after-a-good-count"])
+    def test_a_fig3_count_whose_posterior_overflows(self, args, capsys):
+        code = main(["plotdata", "--figure", "fig3", "--p-hat", "0.5", *args])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == ("adux: error: a trial count is too large: "
+                       "the posterior's alpha + beta overflows a float\n")
+
 
 BIG_PERIOD_ROW = {"session_id": "s9", "category": "chat", "period": int("9" * 400),
                   "rating": 3, "task_completed": True}

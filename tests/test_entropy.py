@@ -27,6 +27,7 @@ from adux.model import (
     build_distribution,
     five_point,
 )
+from oracles import mean_of_sessions_iei
 
 # Frozen oracle: -0.25*log2(0.25) - 0.75*log2(0.75), mpmath at 50 digits.
 H_QUARTER_THREEQUARTER = 0.8112781244591328
@@ -206,6 +207,13 @@ session_rows = st.lists(
               st.integers(0, 3), st.integers(1, 5)),
     min_size=1, max_size=30,
 )
+# Enough sessions of a few ratings that their IEIs, added in another
+# order, can round to another float.
+many_sessions_rows = st.lists(
+    st.tuples(st.integers(0, 40).map("s{}".format), st.sampled_from(["chat", "code"]),
+              st.integers(0, 1), st.integers(1, 5)),
+    min_size=20, max_size=150,
+)
 groupings = st.sampled_from([PER_CATEGORY, PER_CATEGORY_PER_PERIOD])
 aggregations = st.sampled_from([POOLED, MEAN_OF_SESSIONS])
 
@@ -216,8 +224,8 @@ class TestMeanOfSessionsRegrouping:
     @given(rows=session_rows, grouping=groupings, aggregation=aggregations)
     def test_mean_of_each_sessions_ratings(self, rows, grouping, aggregation):
         # A session's part of a group is all its ratings in that group, and
-        # the mean sums the sessions in the order the rows first list them.
-        # Pooled, a group is one part of all its ratings.
+        # the mean is the correctly rounded sum of the parts' IEIs over their
+        # number. Pooled, a group is one part of all its ratings.
         ratings: dict = {}
         for session, category, period, rating in rows:
             group = category if grouping == PER_CATEGORY else (category, period)
@@ -229,13 +237,33 @@ class TestMeanOfSessionsRegrouping:
         for key, entry in results:
             parts = list(ratings[key].values())
             values = [iei_of_ratings(part, five_point()).value for part in parts]
-            assert entry.value == sum(values) / len(values)
+            assert entry.value == math.fsum(values) / len(values)
             assert entry.n_ratings == sum(map(len, parts))
+
+    @given(rows=many_sessions_rows, grouping=groupings)
+    def test_within_an_ulp_of_the_exact_mean(self, rows, grouping):
+        expected = mean_of_sessions_iei(rows, by_period=grouping == PER_CATEGORY_PER_PERIOD)
+        results = iei_by_group(_counts([_obs(*row) for row in rows], MEAN_OF_SESSIONS),
+                               grouping=grouping)
+        assert [key for key, _ in results] == sorted(expected)
+        for key, entry in results:
+            assert abs(entry.value - expected[key]) <= math.ulp(expected[key])
+
+    @given(rows=many_sessions_rows, grouping=groupings, data=st.data())
+    def test_the_order_of_the_rows_moves_no_bit(self, rows, grouping, data):
+        def iei_of(listed):
+            counts = _counts([_obs(*row) for row in listed], MEAN_OF_SESSIONS)
+            return iei_by_group(counts, grouping=grouping)
+
+        assert iei_of(data.draw(st.permutations(rows))) == iei_of(rows)
 
     @given(rows=session_rows, grouping=groupings, aggregation=aggregations)
     def test_counts_are_left_as_they_were(self, rows, grouping, aggregation):
         counts = _counts([_obs(*row) for row in rows], aggregation)
         before = copy.deepcopy(counts)
         first = iei_by_group(counts, grouping=grouping)
-        assert counts == before and list(counts.sessions) == list(before.sessions)
+        # Every count, and the order of the groups and of each one's sessions.
+        assert counts == before
+        assert [(key, list(group)) for key, group in counts.sessions.items()] == [
+            (key, list(group)) for key, group in before.sessions.items()]
         assert iei_by_group(counts, grouping=grouping) == first

@@ -13,6 +13,7 @@ import io
 import json
 import re
 import sys
+import tracemalloc
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
@@ -20,7 +21,13 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from adux import ingest
 from adux.cli import main
-from adux.entropy import MEAN_OF_SESSIONS, POOLED
+from adux.entropy import (
+    MEAN_OF_SESSIONS,
+    PER_CATEGORY,
+    PER_CATEGORY_PER_PERIOD,
+    POOLED,
+    iei_by_group,
+)
 from adux.errors import AduxError
 from adux.ingest import _FIELDS, _csv_records, load_sessions, tally_sessions
 from adux.model import (
@@ -109,8 +116,40 @@ DIGEST = {POOLED: "54fa2b16c8d2", MEAN_OF_SESSIONS: "c7bb5e490563"}
 
 
 def _same_counts(a: SessionCounts, b: SessionCounts) -> bool:
-    """Equal counts, with sessions in the same order (the mean sums in it)."""
-    return a == b and list(a.sessions) == list(b.sessions)
+    """Equal counts, with the same (category, period) groups of sessions in
+    the same order and, in each, the same sessions in the same order."""
+    return a == b and [(key, list(group)) for key, group in a.sessions.items()] == [
+        (key, list(group)) for key, group in b.sessions.items()]
+
+
+def _by_group(rows, period_of=lambda p: p):
+    """(session, category, period, rating, task) rows listed (category,
+    period) group by group, each group at its first row and its rows in
+    their order, with each period then mapped by ``period_of``.
+
+    A tally keeps its sessions in the order of these rows: where two groups
+    move onto one period, the later group's new sessions follow the
+    earlier's. When no two groups meet, that is the rows' own order."""
+    first: dict = {}
+    for row in rows:
+        first.setdefault(row[1:3], len(first))
+    return [(s, c, period_of(p), r, t)
+            for s, c, p, r, t in sorted(rows, key=lambda row: first[row[1:3]])]
+
+
+def _scanned(text, fmt, strictness=SKIP_INVALID):
+    """The rows that `load_sessions` reads from ``text``, listed by
+    :func:`_by_group` under the periods that the scan first gives them: a
+    timestamped row's group is its day, apart from any explicit period."""
+    rows = []
+    _, period_of = ingest._ingest(io.StringIO(text), fmt, five_point(), strictness,
+                                  lambda *row: rows.append(row))
+    return _by_group(rows, period_of)
+
+
+def _count(rows, aggregation):
+    return Dataset(five_point(), tuple(SessionObservation(*row) for row in rows)).counts(
+        aggregation)
 
 
 def _outcome(call):
@@ -129,7 +168,8 @@ class TestTallyMatchesLoad:
         counts, rejections = tally_sessions(io.StringIO(text), fmt=fmt,
                                             strictness=SKIP_INVALID,
                                             aggregation=aggregation)
-        assert _same_counts(counts, loaded.dataset.counts(aggregation))
+        assert counts == loaded.dataset.counts(aggregation)
+        assert _same_counts(counts, _count(_scanned(text, fmt), aggregation))
         assert [(r.row, r.reason, r.detail) for r in rejections] == [
             (r.row, r.reason, r.detail) for r in loaded.rejections
         ]
@@ -144,7 +184,8 @@ class TestTallyMatchesLoad:
         from_tally = _outcome(lambda: tally_sessions(
             io.StringIO(text), fmt=fmt, strictness=STRICT, aggregation=aggregation)[0])
         if isinstance(from_load, SessionCounts):
-            assert _same_counts(from_tally, from_load)
+            assert from_tally == from_load
+            assert _same_counts(from_tally, _count(_scanned(text, fmt, STRICT), aggregation))
         else:
             assert from_tally == from_load
 
@@ -281,25 +322,68 @@ class TestPeriodsFromTwoClocks:
                                             aggregation=aggregation)
         loaded = load_sessions(io.StringIO(text), fmt="jsonl")
         assert rejections == () and all(p >= 0 for _, p in counts.levels)
-        assert _same_counts(counts, loaded.dataset.counts(aggregation))
+        assert counts == loaded.dataset.counts(aggregation)
+        assert _same_counts(counts, _count(_scanned(text, "jsonl"), aggregation))
 
     @given(text=any_clock_logs, shift=st.integers(-3, 3))
     @settings(max_examples=50, deadline=None)
     def test_move_in_place_is_with_periods(self, text, shift):
-        # The reference moves each loaded row's period and counts the rows.
+        # The reference moves each loaded row's period and counts the rows,
+        # listed group by group as the tally keeps them.
         counts, _ = tally_sessions(io.StringIO(text), fmt="jsonl",
                                    aggregation=MEAN_OF_SESSIONS)
-        rows = load_sessions(io.StringIO(text), fmt="jsonl").dataset
-        moved = Dataset(rows.space, tuple(
-            SessionObservation(o.session_id, o.category, max(o.period + shift, 0),
-                               o.rating, o.task_completed)
-            for o in rows.observations
-        )).counts(MEAN_OF_SESSIONS)
-        lists = {id(n) for table in (counts.levels, counts.sessions) for n in table.values()}
+        moved = _count(_by_group(_scanned(text, "jsonl"), lambda p: max(p + shift, 0)),
+                       MEAN_OF_SESSIONS)
+
+        def held():  # every count list and every dict of sessions' lists
+            groups = counts.sessions.values()
+            return [*counts.levels.values(), *groups,
+                    *(n for group in groups for n in group.values())]
+
+        before = held()  # kept alive, so that no new object can take an id of one
         ingest._move_periods(counts, lambda p: max(p + shift, 0))
         assert _same_counts(counts, moved)
-        assert all(id(n) in lists for table in (counts.levels, counts.sessions)
-                   for n in table.values())
+        assert set(map(id, held())) <= set(map(id, before))
+
+
+class TestAllocationGrowsWithGroups:
+    """On timestamped mean-of-sessions counts, moving the periods and
+    grouping the sessions for IEI allocate per (category, period), not per
+    session: each moves or reads a group's sessions as they are."""
+
+    DAY = date(2024, 3, 1).toordinal()
+
+    def _counts(self, sessions):
+        # Six categories, each on its own day, with one rating per session:
+        # the periods as the scan leaves them, ~day, before they are moved.
+        counts = SessionCounts(five_point(), MEAN_OF_SESSIONS)
+        for i in range(sessions):
+            counts.add(f"s{i}", f"c{i % 6}", ~(self.DAY + i % 6), 1 + i % 5, None)
+        return counts
+
+    @staticmethod
+    def _peak(call):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("step", ["move", PER_CATEGORY, PER_CATEGORY_PER_PERIOD])
+    def test_peak_does_not_grow_with_the_sessions(self, step):
+        def peak(sessions):
+            counts = self._counts(sessions)
+            if step == "move":
+                return self._peak(lambda: ingest._move_periods(counts, lambda p: ~p - self.DAY))
+            ingest._move_periods(counts, lambda p: ~p - self.DAY)
+            return self._peak(lambda: iei_by_group(counts, step))
+
+        peak(100)  # the first call fills caches that later calls reuse
+        small, large = peak(2_000), peak(8_000)
+        # Copying each session's key or list would take about 100 bytes a session.
+        assert large - small < 6_000, (small, large)
 
 
 ids = st.text(min_size=1, max_size=8)
