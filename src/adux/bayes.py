@@ -19,6 +19,7 @@ as non-unique.
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 from collections.abc import Iterable
 
@@ -126,6 +127,14 @@ def posterior(prior: BetaParams, trials: TrialSummary) -> BetaParams:
         alpha=prior.alpha + trials.completions,
         beta=prior.beta + (trials.trials - trials.completions),
     )
+
+
+def posterior_overflows(prior: BetaParams, n_trials: int) -> bool:
+    """Whether ``prior`` updated on ``n_trials`` trials, whatever their
+    completions, has an alpha + beta past the float range, so that no
+    BetaParams can hold the posterior."""
+    # An int past the largest float compares exactly, where a sum would overflow.
+    return n_trials > sys.float_info.max or prior.alpha + prior.beta + n_trials == math.inf
 
 
 def update_prior(history: Iterable[TrialSummary], initial: BetaParams) -> BetaParams:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from importlib import import_module
@@ -43,7 +42,7 @@ if TYPE_CHECKING:
 # runs. A name bound here is read at call time, so a wrapper bound over it
 # (benchmark/child.py times evaluate and emit_report so) is the one called.
 _COMMAND_NAMES = {
-    "bayes": ("BetaParams", "TrialSummary", "bucs", "wald_ci"),
+    "bayes": ("BetaParams", "TrialSummary", "bucs", "posterior_overflows", "wald_ci"),
     "drift": ("classify_drift", "fit_tdc", "series_from_dataset"),
     "entropy": ("PER_CATEGORY", "PER_CATEGORY_PER_PERIOD", "iei_by_group"),
     # load_sessions, gen_ratings and emit_sessions are not called here;
@@ -232,7 +231,7 @@ def _cmd_bucs(args: argparse.Namespace) -> int:
         raise _UsageError(f"--n must be >= 0, got {args.n}")
     if args.n > args.N:
         raise _UsageError(f"--n ({args.n}) cannot exceed --N ({args.N})")
-    if args.N > sys.float_info.max or math.isinf(args.prior.alpha + args.prior.beta + args.N):
+    if _cli.posterior_overflows(args.prior, args.N):
         raise _UsageError("--N is too large: the posterior's alpha + beta overflows a float")
     trials = _cli.TrialSummary(completions=args.n, trials=args.N)
     result = _cli.bucs(args.prior, trials, args.mass)

@@ -130,20 +130,28 @@ def iei_by_group(
     ``n_ratings`` reports the total ratings in the group either way. Group
     keys come back sorted for deterministic output.
 
-    Counts are read, never changed: a group of one (category, period) takes
-    its count lists by reference. A group of several sums them into new
-    lists, by session id, one group at a time.
+    Counts are read, never changed: each group takes its count lists by
+    reference, and a new list is summed only for a group that gathers more
+    than one of them, such as a session whose rows fall in two periods of
+    one category. Mean-of-sessions sums a category's sessions by id one
+    category at a time, and only for a category seen in several periods.
     """
     if grouping not in (PER_CATEGORY, PER_CATEGORY_PER_PERIOD):
         raise ValueError(f"unknown grouping {grouping!r}")
     if len(counts) == 0:
         raise EmptyDataset("cannot compute grouped IEI on an empty dataset")
 
-    pooled = counts.aggregation == POOLED
+    if counts.aggregation == POOLED:
+        parts: defaultdict[GroupKey, list[Sequence[int]]] = defaultdict(list)
+        if grouping == PER_CATEGORY:
+            pooled = sum_counts((c, n) for (c, _), n in counts.levels.items())
+        else:
+            pooled = counts.levels
+        for key, n in pooled.items():
+            parts[key].append(n)
+        return tuple((key, _mean_entropy(parts[key], counts.space)) for key in sorted(parts))
     groups: defaultdict[GroupKey, list[dict[str, list[int]]]] = defaultdict(list)
-    for (c, p), level in (counts.levels if pooled else counts.sessions).items():
-        # Pooled, a (category, period) is one part under one id, so that a
-        # category's periods add up to one part.
-        groups[c if grouping == PER_CATEGORY else (c, p)].append({"": level} if pooled else level)
+    for (c, p), level in counts.sessions.items():
+        groups[c if grouping == PER_CATEGORY else (c, p)].append(level)
     return tuple((key, _mean_entropy(_parts(groups[key]), counts.space))
                  for key in sorted(groups))

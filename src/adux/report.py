@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import io
 import json
-import math
-import sys
 from collections.abc import Iterator, Sequence
 from datetime import datetime, timezone
 from itertools import chain
@@ -44,7 +42,7 @@ except ImportError:
 
 from ._record import record
 from .bayes import BetaParams, BucsResult, TrialSummary
-from .bayes import bucs, hdi, posterior, wald_ci
+from .bayes import bucs, hdi, posterior, posterior_overflows, wald_ci
 from .drift import MIN_POINTS, TdcFit, UsabilitySeries, fit_tdc, series_from_dataset
 from .entropy import EntropyBits, PER_CATEGORY, iei_by_group
 from .errors import EmptyDataset, ImpreciseShapes, UnknownFormat
@@ -323,11 +321,12 @@ def fig3_rows(
         raise ValueError("trial_counts must be a non-empty list of positive counts")
 
     def row(n_trials: int) -> tuple:
-        # An int past the largest float compares exactly, where a sum would overflow.
-        if n_trials > sys.float_info.max or prior.alpha + prior.beta + n_trials == math.inf:
+        if posterior_overflows(prior, n_trials):
             raise ImpreciseShapes("a trial count is too large: the posterior's "
                                   "alpha + beta overflows a float")
-        trials = TrialSummary(completions=round(p_hat * n_trials), trials=n_trials)
+        # p_hat * n_trials is a float, which can round past n_trials (2**53 + 3).
+        completions = min(round(p_hat * n_trials), n_trials)
+        trials = TrialSummary(completions=completions, trials=n_trials)
         bayes_width = hdi(posterior(prior, trials), mass).width
         return (n_trials, _num(bayes_width), _num(wald_ci(trials, mass).width))
 

@@ -572,6 +572,17 @@ class TestEdgesOfTheFloatRange:
         assert err == ("adux: error: a trial count is too large: "
                        "the posterior's alpha + beta overflows a float\n")
 
+    def test_a_fig3_count_whose_completions_round_past_it(self, capsys):
+        # p_hat * N is a float: 1 * (2**53 + 3) rounds to 2**53 + 4, which no
+        # TrialSummary of 2**53 + 3 trials holds. All trials complete, so the
+        # posterior is Beta(1 + 2**53 + 3, 1), past the precision of log B.
+        code = main(["plotdata", "--figure", "fig3", "--p-hat", "1",
+                     "--N-list", str(2**53 + 3)])
+        out, err = capsys.readouterr()
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert err.startswith("adux: error: Beta(9007199254740996.0, 1.0) "
+                              "is past the precision of log B")
+
 
 BIG_PERIOD_ROW = {"session_id": "s9", "category": "chat", "period": int("9" * 400),
                   "rating": 3, "task_completed": True}

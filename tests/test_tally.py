@@ -9,6 +9,7 @@ rejections, the same strict-mode error and the same report bytes.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import re
@@ -349,20 +350,27 @@ class TestPeriodsFromTwoClocks:
 class TestAllocationGrowsWithGroups:
     """On timestamped mean-of-sessions counts, moving the periods and
     grouping the sessions for IEI allocate per (category, period), not per
-    session: each moves or reads a group's sessions as they are."""
+    session: each moves or reads a group's sessions as they are. The one
+    exception is per-category IEI of a category seen in several periods,
+    which sums its sessions by id into one dict, a category at a time."""
 
     DAY = date(2024, 3, 1).toordinal()
 
-    def _counts(self, sessions):
-        # Six categories, each on its own day, with one rating per session:
-        # the periods as the scan leaves them, ~day, before they are moved.
+    def _counts(self, sessions, days=1):
+        # Six categories, each on `days` days of its own, with one rating per
+        # session: the periods as the scan leaves them, ~day, before they are
+        # moved. Session i is on day i % (6 * days), of category i % 6.
         counts = SessionCounts(five_point(), MEAN_OF_SESSIONS)
         for i in range(sessions):
-            counts.add(f"s{i}", f"c{i % 6}", ~(self.DAY + i % 6), 1 + i % 5, None)
+            counts.add(f"s{i}", f"c{i % 6}", ~(self.DAY + i % (6 * days)), 1 + i % 5, None)
         return counts
 
     @staticmethod
     def _peak(call):
+        # With the collector off, so that what a collection's callbacks do
+        # while the step runs is not counted as the step's.
+        gc.collect()
+        gc.disable()
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -370,20 +378,46 @@ class TestAllocationGrowsWithGroups:
             return tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
+            gc.enable()
 
-    @pytest.mark.parametrize("step", ["move", PER_CATEGORY, PER_CATEGORY_PER_PERIOD])
-    def test_peak_does_not_grow_with_the_sessions(self, step):
+    def _step_peak(self, counts, step):
+        if step == "move":
+            return self._peak(lambda: ingest._move_periods(counts, lambda p: ~p - self.DAY))
+        ingest._move_periods(counts, lambda p: ~p - self.DAY)
+        return self._peak(lambda: iei_by_group(counts, step))
+
+    @pytest.mark.parametrize("step, days", [
+        ("move", 1), ("move", 10), (PER_CATEGORY, 1),
+        (PER_CATEGORY_PER_PERIOD, 1), (PER_CATEGORY_PER_PERIOD, 10),
+    ])
+    def test_peak_does_not_grow_with_the_sessions(self, step, days):
         def peak(sessions):
-            counts = self._counts(sessions)
-            if step == "move":
-                return self._peak(lambda: ingest._move_periods(counts, lambda p: ~p - self.DAY))
-            ingest._move_periods(counts, lambda p: ~p - self.DAY)
-            return self._peak(lambda: iei_by_group(counts, step))
+            return self._step_peak(self._counts(sessions, days), step)
 
         peak(100)  # the first call fills caches that later calls reuse
         small, large = peak(2_000), peak(8_000)
         # Copying each session's key or list would take about 100 bytes a session.
         assert large - small < 6_000, (small, large)
+
+    def test_a_category_over_several_periods_takes_one_entry_a_session(self):
+        # Per category, a category on ten days merges its sessions by id into
+        # one dict: a dict entry a session, about 40 bytes, and no new key or
+        # list for a session seen in one period. Before, every session of
+        # every category took a (category, session_id) key and an entry at once.
+        def peak(sessions):
+            return self._step_peak(self._counts(sessions, days=10), PER_CATEGORY)
+
+        peak(100)  # the first call fills caches that later calls reuse
+        small, large = peak(12_000), peak(48_000)
+        # Each of the six categories holds a sixth of the sessions.
+        assert (large - small) / 6_000 < 60, (small, large)
+        # One category at a time: six times the categories, each as large as
+        # before, add to the peak per (category, period) only, where holding
+        # all their sessions at once would add about 60,000 * 40 bytes.
+        many = SessionCounts(five_point(), MEAN_OF_SESSIONS)
+        for i in range(6 * 12_000):
+            many.add(f"s{i}", f"c{i % 36}", ~(self.DAY + i % 360), 1 + i % 5, None)
+        assert self._step_peak(many, PER_CATEGORY) - small < 200 * (360 - 60), small
 
 
 ids = st.text(min_size=1, max_size=8)
@@ -516,6 +550,12 @@ class TestDistinctLineCount:
     @example(log=('session_id,category,period,rating\ns1,a,0,4\n"s2,a",0,4\n', 2,
                   "quoted session id holding a comma"),
              aggregation=POOLED, chunk=200, strictness=SKIP_INVALID, from_path=False)
+    # A stamped row whose day lands on an explicit period: the tally adds
+    # its group after that period's, so s2 follows s3 there.
+    @example(log=("session_id,category,period,rating,task_completed,timestamp\n"
+                  "s1,a,0,1,true,\ns2,a,,1,true,2024-03-02T10:00:00Z\ns3,a,0,1,true,\n", 3,
+                  "bucketed by timestamp"),
+             aggregation=MEAN_OF_SESSIONS, chunk=1, strictness=STRICT, from_path=False)
     def test_same_outcome_as_the_ordered_loop(self, tmp_path, monkeypatch, log, aggregation,
                                               chunk, strictness, from_path):
         text, _, fault = log
@@ -537,7 +577,8 @@ class TestDistinctLineCount:
             got = _outcome(lambda: tally_sessions(open_log(), strictness=strictness,
                                                   aggregation=aggregation))
         if isinstance(expected[0], SessionCounts):
-            assert _same_counts(got[0], expected[0])
+            assert got[0] == expected[0]
+            assert _same_counts(got[0], _count(_scanned(text, "csv", strictness), aggregation))
             assert [(r.row, r.reason, r.detail) for r in got[1]] == [
                 (r.row, r.reason, r.detail) for r in expected[1]]
         else:
@@ -629,7 +670,7 @@ def _jsonl_outcomes(text):
                     counts, rejections = tally_sessions(
                         io.StringIO(text, newline=newline), fmt="jsonl",
                         strictness=strictness, aggregation=aggregation)
-                    return counts, list(counts.sessions), [
+                    return counts, [(key, list(group)) for key, group in counts.sessions.items()], [
                         (r.row, r.reason, r.detail) for r in rejections]
                 outcomes.append(_outcome(run))
     return outcomes
