@@ -560,28 +560,23 @@ class TestEdgesOfTheFloatRange:
         # Both posteriors hold all but a float's worth of mass below 5e-324.
         assert 0.0 <= interval["lower"] <= interval["upper"] <= 5e-324
 
-    @pytest.mark.parametrize("args", [
-        ["--N-list", "1" + "0" * 400],
-        ["--prior", "1,1e308", "--N-list", str(int(1.5e308))],
-        ["--N-list", "10,1" + "0" * 400],
-    ], ids=["N-past-every-float", "alpha-plus-beta-overflows", "after-a-good-count"])
-    def test_a_fig3_count_whose_posterior_overflows(self, args, capsys):
-        code = main(["plotdata", "--figure", "fig3", "--p-hat", "0.5", *args])
-        out, err = capsys.readouterr()
-        assert (code, out) == (2, "")
-        assert err == ("adux: error: a trial count is too large: "
-                       "the posterior's alpha + beta overflows a float\n")
+    OVERFLOWS = "a trial count is too large: the posterior's alpha + beta overflows a float"
 
-    def test_a_fig3_count_whose_completions_round_past_it(self, capsys):
-        # p_hat * N is a float: 1 * (2**53 + 3) rounds to 2**53 + 4, which no
-        # TrialSummary of 2**53 + 3 trials holds. All trials complete, so the
-        # posterior is Beta(1 + 2**53 + 3, 1), past the precision of log B.
-        code = main(["plotdata", "--figure", "fig3", "--p-hat", "1",
-                     "--N-list", str(2**53 + 3)])
+    @pytest.mark.parametrize("args, error", [
+        (["--p-hat", "0.5", "--N-list", "1" + "0" * 400], OVERFLOWS),
+        (["--p-hat", "0.5", "--prior", "1,1e308", "--N-list", str(int(1.5e308))], OVERFLOWS),
+        (["--p-hat", "0.5", "--N-list", "10,1" + "0" * 400], OVERFLOWS),
+        # p_hat * N is a float: 1 * (2**53 + 3) rounds past N, to 2**53 + 4.
+        # All N trials complete, so the posterior is Beta(1 + 2**53 + 3, 1).
+        (["--p-hat", "1", "--N-list", str(2**53 + 3)],
+         "Beta(9007199254740996.0, 1.0) is past the precision of log B"),
+    ], ids=["N-past-every-float", "alpha-plus-beta-overflows", "after-a-good-count",
+            "completions-round-past-N"])
+    def test_a_fig3_count_past_the_float_range(self, args, error, capsys):
+        code = main(["plotdata", "--figure", "fig3", *args])
         out, err = capsys.readouterr()
         assert (code, out, err.count("\n")) == (2, "", 1)
-        assert err.startswith("adux: error: Beta(9007199254740996.0, 1.0) "
-                              "is past the precision of log B")
+        assert err.startswith("adux: error: " + error)
 
 
 BIG_PERIOD_ROW = {"session_id": "s9", "category": "chat", "period": int("9" * 400),

@@ -138,12 +138,14 @@ def _by_group(rows, period_of=lambda p: p):
             for s, c, p, r, t in sorted(rows, key=lambda row: first[row[1:3]])]
 
 
-def _scanned(text, fmt, strictness=SKIP_INVALID):
-    """The rows that `load_sessions` reads from ``text``, listed by
-    :func:`_by_group` under the periods that the scan first gives them: a
-    timestamped row's group is its day, apart from any explicit period."""
+def _scanned(log, fmt, strictness=SKIP_INVALID):
+    """The rows that `load_sessions` reads from ``log`` (its text, or a path),
+    listed by :func:`_by_group` under the periods that the scan first gives
+    them: a timestamped row's group is its day, apart from any explicit
+    period."""
     rows = []
-    _, period_of = ingest._ingest(io.StringIO(text), fmt, five_point(), strictness,
+    source = io.StringIO(log) if isinstance(log, str) else log
+    _, period_of = ingest._ingest(source, fmt, five_point(), strictness,
                                   lambda *row: rows.append(row))
     return _by_group(rows, period_of)
 
@@ -550,6 +552,11 @@ class TestDistinctLineCount:
     @example(log=('session_id,category,period,rating\ns1,a,0,4\n"s2,a",0,4\n', 2,
                   "quoted session id holding a comma"),
              aggregation=POOLED, chunk=200, strictness=SKIP_INVALID, from_path=False)
+    # A file whose session id holds a lone \r: read as a path, the row is
+    # rejected, where a text handle's csv.reader fails on the line.
+    @example(log=("session_id,category,period,rating\ns\r1,a,0,1\n", 1,
+                  "carriage return in a session id"),
+             aggregation=MEAN_OF_SESSIONS, chunk=1, strictness=SKIP_INVALID, from_path=True)
     # A stamped row whose day lands on an explicit period: the tally adds
     # its group after that period's, so s2 follows s3 there.
     @example(log=("session_id,category,period,rating,task_completed,timestamp\n"
@@ -578,7 +585,8 @@ class TestDistinctLineCount:
                                                   aggregation=aggregation))
         if isinstance(expected[0], SessionCounts):
             assert got[0] == expected[0]
-            assert _same_counts(got[0], _count(_scanned(text, "csv", strictness), aggregation))
+            assert _same_counts(got[0], _count(_scanned(open_log(), "csv", strictness),
+                                               aggregation))
             assert [(r.row, r.reason, r.detail) for r in got[1]] == [
                 (r.row, r.reason, r.detail) for r in expected[1]]
         else:
